@@ -30,13 +30,14 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, MapFormatError, ResonanceError
-from .normalform import DEFAULT_BETA, NormalFormSequence, run
+from .normalform import DEFAULT_BETA, run
 from .numerics import (
     DEFAULT_MAX_ITER,
     DEFAULT_POINT_TOL,
@@ -83,6 +84,9 @@ def _as_complex(value, context: str) -> complex:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
         raise MapFormatError("complex values must be [real, imag] number pairs", context)
+    # JSON admits NaN and Infinity, and integers too large for a float.
+    if not all(abs(v) <= sys.float_info.max for v in value):
+        raise MapFormatError("complex values must be finite", context)
     return complex(float(value[0]), float(value[1]))
 
 
@@ -281,37 +285,36 @@ def parse_box(text: str, dim: int) -> list[tuple[float, float]]:
     return out
 
 
-# -- output helpers ----------------------------------------------------------
+# -- commands -----------------------------------------------------------------
+#
+# Each command returns (payload, header, rows, exit_code): the JSON payload and
+# the CSV table of one result; ``main`` renders the one ``--format`` names.
 
 
 def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _alpha_text(alpha) -> str:
+    return " ".join(str(a) for a in alpha)
 
 
-def _write_output(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _vector_terms(v: VectorPoly, chop: float = 0.0) -> list[dict]:
+    """Every term with magnitude above ``chop``, components 1-based."""
+    return [
+        {"component": comp_idx + 1, "alpha": list(alpha), "coeff": _pair(c)}
+        for comp_idx, comp in enumerate(v.components)
+        for alpha, c in comp.terms.items()
+        if not (chop and abs(c) <= chop)
+    ]
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _pipeline(args, degree: int | None = None, resonance_tol: float = DEFAULT_RESONANCE_TOL):
+    """Load the map and run the elimination through ``degree``.
 
-
-# -- pipeline plumbing shared by commands -------------------------------------
-
-
-def _load_for_pipeline(args) -> tuple[VectorPoly, Spectrum]:
+    Without ``degree`` the truncation is ``-D`` when given (it may not be
+    below the conjugacy order ``-m``), else ``max(m, 2)``.
+    """
     t_map, spec, vmat, _ = build_map(load_description(args.map))
     if vmat is not None:
         print(
@@ -319,282 +322,157 @@ def _load_for_pipeline(args) -> tuple[VectorPoly, Spectrum]:
             f"V = {np.array2string(vmat, precision=8)}",
             file=sys.stderr,
         )
-    if not spec.is_stable and not getattr(args, "allow_unstable", False):
+    if not spec.is_stable and not args.allow_unstable:
         raise MapFormatError(
             "spectrum is not asymptotically stable; pass --allow-unstable to proceed",
             args.map,
         )
-    return t_map, spec
-
-
-def _run_pipeline(
-    args,
-    t_map: VectorPoly,
-    spec: Spectrum,
-    degree: int,
-    resonance_tol: float | None = None,
-) -> NormalFormSequence:
-    # For most commands --tol is the pointwise inversion tolerance, so the
-    # resonance abort threshold stays at its default unless passed explicitly.
-    return run(
-        t_map,
-        spec,
-        degree,
-        beta=args.beta,
-        resonance_tol=resonance_tol if resonance_tol is not None else DEFAULT_RESONANCE_TOL,
-        norm_seed=getattr(args, "seed", 0),
-        require_stable=not getattr(args, "allow_unstable", False),
-    )
-
-
-def _auto_degree(args) -> int:
-    if getattr(args, "degree", None):
-        if args.degree < args.m:
+    if degree is None:
+        if args.degree and args.degree < args.m:
             raise ValueError(f"degree {args.degree} is below the conjugacy order {args.m}")
-        return args.degree
-    return max(args.m, 2)
+        degree = args.degree or max(args.m, 2)
+    # Stability was settled above, so run() need not refuse the map again.
+    seq = run(t_map, spec, degree, beta=args.beta, resonance_tol=resonance_tol,
+              norm_seed=args.seed, require_stable=False)
+    return t_map, spec, seq
 
 
-# -- commands -----------------------------------------------------------------
-
-
-def _cmd_resonance(args) -> int:
+def _cmd_resonance(args):
     _, spec, _, _ = build_map(load_description(args.map))
     report = check_resonance(spec, args.order, args.tol, args.near_tol)
-    if args.format == "json":
-        payload = {
-            "max_order": report.max_order,
-            "entries": [
-                {
-                    "component": e.component + 1,
-                    "alpha": list(e.alpha),
-                    "mu": _pair(e.mu),
-                    "abs_mu": abs(e.mu),
-                    "resonant": abs(e.mu) <= args.tol,
-                }
-                for e in report.entries
-            ],
-            "min_abs_mu": report.min_abs_mu,
-            "resonant": [
-                {"component": e.component + 1, "alpha": list(e.alpha), "mu": _pair(e.mu)}
-                for e in report.resonant
-            ],
-        }
-        text = _json_text(payload)
-    else:
-        rows = [
-            [
-                e.component + 1,
-                " ".join(str(a) for a in e.alpha),
-                e.mu.real,
-                e.mu.imag,
-                abs(e.mu),
-                int(abs(e.mu) <= args.tol),
-            ]
+    payload = {
+        "max_order": report.max_order,
+        "entries": [
+            {
+                "component": e.component + 1,
+                "alpha": list(e.alpha),
+                "mu": _pair(e.mu),
+                "abs_mu": abs(e.mu),
+                "resonant": abs(e.mu) <= args.tol,
+            }
             for e in report.entries
-        ]
-        text = _csv_text(
-            ["component", "alpha", "mu_re", "mu_im", "abs_mu", "resonant"], rows
-        )
-    _write_output(text, args.out)
-    return 2 if report.resonant else 0
+        ],
+        "min_abs_mu": report.min_abs_mu,
+        "resonant": [
+            {"component": e.component + 1, "alpha": list(e.alpha), "mu": _pair(e.mu)}
+            for e in report.resonant
+        ],
+    }
+    rows = [
+        [e["component"], _alpha_text(e["alpha"]), *e["mu"], e["abs_mu"], int(e["resonant"])]
+        for e in payload["entries"]
+    ]
+    header = ["component", "alpha", "mu_re", "mu_im", "abs_mu", "resonant"]
+    return payload, header, rows, 2 if report.resonant else 0
 
 
-def _cmd_normalform(args) -> int:
-    t_map, spec = _load_for_pipeline(args)
-    seq = _run_pipeline(args, t_map, spec, args.degree, resonance_tol=args.tol)
-    if args.format == "json":
-        payload = {
-            "spec": {"lambdas": [_pair(lam) for lam in spec.lambdas]},
-            "D": seq.D,
-            "T_input": _vector_terms(seq.T_input),
-            "stages": [
-                {
-                    "m": st.m,
-                    "epsilon": st.epsilon,
-                    "Q": _vector_terms(st.Q, chop=args.chop),
-                    "T_after": _vector_terms(st.T_after, chop=args.chop),
-                }
-                for st in seq.stages
-            ],
+def _cmd_normalform(args):
+    # Here --tol is the resonance abort threshold; elsewhere it is the
+    # pointwise inversion tolerance.
+    _, spec, seq = _pipeline(args, args.degree, resonance_tol=args.tol)
+    stages = [
+        {
+            "m": st.m,
+            "epsilon": st.epsilon,
+            "Q": _vector_terms(st.Q, chop=args.chop),
+            "T_after": _vector_terms(st.T_after, chop=args.chop),
         }
-        text = _json_text(payload)
-    else:
-        rows = []
-        for st in seq.stages:
-            wrote = False
-            for comp_idx, comp in enumerate(st.Q.components):
-                for alpha, c in comp.terms.items():
-                    if args.chop and abs(c) <= args.chop:
-                        continue
-                    rows.append(
-                        [
-                            st.m,
-                            comp_idx + 1,
-                            " ".join(str(a) for a in alpha),
-                            c.real,
-                            c.imag,
-                            st.epsilon,
-                        ]
-                    )
-                    wrote = True
-            if not wrote:
-                rows.append([st.m, "", "", "", "", st.epsilon])
-        text = _csv_text(
-            ["stage", "component", "alpha", "coeff_re", "coeff_im", "epsilon"], rows
-        )
-    _write_output(text, args.out)
-    return 0
+        for st in seq.stages
+    ]
+    payload = {
+        "spec": {"lambdas": [_pair(lam) for lam in spec.lambdas]},
+        "D": seq.D,
+        "T_input": _vector_terms(seq.T_input),
+        "stages": stages,
+    }
+    rows = []
+    for st in stages:
+        m, eps = st["m"], st["epsilon"]
+        q_rows = [[m, t["component"], _alpha_text(t["alpha"]), *t["coeff"], eps] for t in st["Q"]]
+        rows.extend(q_rows or [[m, "", "", "", "", eps]])
+    header = ["stage", "component", "alpha", "coeff_re", "coeff_im", "epsilon"]
+    return payload, header, rows, 0
 
 
-def _vector_terms(v: VectorPoly, chop: float = 0.0) -> list[dict]:
-    out = []
-    for comp_idx, comp in enumerate(v.components):
-        for alpha, c in comp.terms.items():
-            if chop and abs(c) <= chop:
-                continue
-            out.append(
-                {"component": comp_idx + 1, "alpha": list(alpha), "coeff": _pair(c)}
-            )
-    return out
-
-
-def _cmd_invert(args) -> int:
-    t_map, spec = _load_for_pipeline(args)
-    degree = _auto_degree(args)
-    seq = _run_pipeline(args, t_map, spec, degree)
+def _cmd_invert(args):
+    _, spec, seq = _pipeline(args)
     radii = parse_radii(args.radii)
     dirs = sphere_points(spec.dim, args.samples, args.seed)
+    points = []
     rows = []
-    json_rows = []
     for r in radii:
         for s in range(args.samples):
             x = r * dirs[s]
             try:
                 z = tau_inverse_pointwise(seq, args.m, x, args.tol, args.max_iter)
                 err = linf(tau_forward_pointwise(seq, args.m, z) - x)
-                ok = True
             except ConvergenceError:
-                z = None
-                err = None
-                ok = False
-            if args.format == "json":
-                json_rows.append(
-                    {
-                        "radius": r,
-                        "sample": s,
-                        "x": [_pair(v) for v in x],
-                        "z": [_pair(v) for v in z] if ok else None,
-                        "roundtrip_error": err,
-                        "converged": ok,
-                    }
-                )
-            else:
-                for comp in range(spec.dim):
-                    rows.append(
-                        [
-                            r,
-                            s,
-                            comp + 1,
-                            x[comp].real,
-                            x[comp].imag,
-                            z[comp].real if ok else "",
-                            z[comp].imag if ok else "",
-                            err if ok else "",
-                            int(ok),
-                        ]
-                    )
-    if args.format == "json":
-        text = _json_text({"m": args.m, "points": json_rows})
-    else:
-        text = _csv_text(
-            [
-                "radius",
-                "sample",
-                "component",
-                "x_re",
-                "x_im",
-                "z_re",
-                "z_im",
-                "roundtrip_error",
-                "converged",
-            ],
-            rows,
-        )
-    _write_output(text, args.out)
-    return 0
+                z = err = None
+            ok = z is not None
+            points.append(
+                {
+                    "radius": r,
+                    "sample": s,
+                    "x": [_pair(v) for v in x],
+                    "z": [_pair(v) for v in z] if ok else None,
+                    "roundtrip_error": err,
+                    "converged": ok,
+                }
+            )
+            for comp in range(spec.dim):
+                solved = [z[comp].real, z[comp].imag, err] if ok else ["", "", ""]
+                rows.append([r, s, comp + 1, x[comp].real, x[comp].imag, *solved, int(ok)])
+    header = ["radius", "sample", "component", "x_re", "x_im", "z_re", "z_im",
+              "roundtrip_error", "converged"]
+    return {"m": args.m, "points": points}, header, rows, 0
 
 
-def _cmd_residual_study(args) -> int:
-    t_map, spec = _load_for_pipeline(args)
-    degree = _auto_degree(args)
-    seq = _run_pipeline(args, t_map, spec, degree)
+def _cmd_residual_study(args):
+    t_map, spec, seq = _pipeline(args)
     alpha = parse_alpha(args.alpha, spec.dim)
     radii = parse_radii(args.radii)
     study = residual_study(
         t_map, seq, args.m, alpha, radii, args.samples, args.seed, args.tol, args.max_iter
     )
-    if args.format == "json":
-        payload = {
-            "m": study.m,
-            "alpha": list(study.alpha),
-            "mu": _pair(study.mu),
-            "radii": list(study.radii),
-            "samples_per_radius": study.samples_per_radius,
-            "records": [
-                {"radius": r, "sample": s, "residual": v}
-                for (r, s), v in sorted(study.records.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
-            ],
-            "fitted_slope": study.fitted_slope,
-            "fit_rsquared": study.fit_rsquared,
-            "skipped": study.skipped,
-        }
-        text = _json_text(payload)
-    else:
-        maxima = study.max_residuals()
-        rows = []
-        for r in study.radii:
-            used = sum(1 for (rr, _) in study.records if rr == r)
-            rows.append(
-                ["radius", r, maxima.get(r, ""), used, "", "", ""]
-            )
-        rows.append(
-            ["summary", "", "", "", study.skipped, study.fitted_slope, study.fit_rsquared]
-        )
-        text = _csv_text(
-            ["row", "radius", "max_residual", "samples_used", "skipped", "fitted_slope", "fit_rsquared"],
-            rows,
-        )
-    _write_output(text, args.out)
-    return 0
+    payload = {
+        "m": study.m,
+        "alpha": list(study.alpha),
+        "mu": _pair(study.mu),
+        "radii": list(study.radii),
+        "samples_per_radius": study.samples_per_radius,
+        "records": [
+            {"radius": r, "sample": s, "residual": v}
+            for (r, s), v in sorted(study.records.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
+        ],
+        "fitted_slope": study.fitted_slope,
+        "fit_rsquared": study.fit_rsquared,
+        "skipped": study.skipped,
+    }
+    maxima = study.max_residuals()
+    used = Counter(r for r, _ in study.records)
+    rows = [["radius", r, maxima.get(r, ""), used[r], "", "", ""] for r in study.radii]
+    rows.append(["summary", "", "", "", study.skipped, study.fitted_slope, study.fit_rsquared])
+    header = ["row", "radius", "max_residual", "samples_used", "skipped", "fitted_slope",
+              "fit_rsquared"]
+    return payload, header, rows, 0
 
 
-def _cmd_inverse_order(args) -> int:
-    t_map, spec = _load_for_pipeline(args)
-    degree = _auto_degree(args)
-    seq = _run_pipeline(args, t_map, spec, degree)
+def _cmd_inverse_order(args):
+    _, _, seq = _pipeline(args)
     radii = parse_radii(args.radii)
     q = seq.stage(args.m).Q
     fit = inverse_asymptotics_study(q, radii, args.samples, args.seed, args.tol, args.max_iter)
-    if args.format == "json":
-        payload = {
-            "m": args.m,
-            "max_errors": [
-                {"radius": r, "max_error": v} for r, v in fit.max_errors.items()
-            ],
-            "slope": fit.slope,
-            "rsquared": fit.rsquared,
-            "degenerate": fit.degenerate,
-        }
-        text = _json_text(payload)
-    else:
-        rows = [["radius", r, v, "", "", ""] for r, v in fit.max_errors.items()]
-        rows.append(["summary", "", "", fit.slope, fit.rsquared, int(fit.degenerate)])
-        text = _csv_text(
-            ["row", "radius", "max_error", "slope", "rsquared", "degenerate"], rows
-        )
-    _write_output(text, args.out)
-    return 0
+    payload = {
+        "m": args.m,
+        "max_errors": [{"radius": r, "max_error": v} for r, v in fit.max_errors.items()],
+        "slope": fit.slope,
+        "rsquared": fit.rsquared,
+        "degenerate": fit.degenerate,
+    }
+    rows = [["radius", r, v, "", "", ""] for r, v in fit.max_errors.items()]
+    rows.append(["summary", "", "", fit.slope, fit.rsquared, int(fit.degenerate)])
+    header = ["row", "radius", "max_error", "slope", "rsquared", "degenerate"]
+    return payload, header, rows, 0
 
 
 _TARGETS = {
@@ -604,10 +482,8 @@ _TARGETS = {
 }
 
 
-def _cmd_density_demo(args) -> int:
-    t_map, spec = _load_for_pipeline(args)
-    degree = _auto_degree(args)
-    seq = _run_pipeline(args, t_map, spec, degree)
+def _cmd_density_demo(args):
+    _, spec, seq = _pipeline(args)
     box = parse_box(args.box, spec.dim)
     table = density_demo(
         _TARGETS[args.target],
@@ -621,25 +497,8 @@ def _cmd_density_demo(args) -> int:
         max_iter=args.max_iter,
         condition_limit=args.cond_limit,
     )
-    if args.format == "json":
-        payload = {
-            "rows": [
-                {
-                    "degree": row.degree,
-                    "sup_error": row.sup_error,
-                    "condition": row.condition,
-                    "flagged": row.flagged,
-                }
-                for row in table.rows
-            ],
-            "monotonicity_violations": table.monotonicity_violations,
-        }
-        text = _json_text(payload)
-    else:
-        rows = [[row.degree, row.sup_error, int(row.flagged)] for row in table.rows]
-        text = _csv_text(["degree", "sup_error", "condition_flag"], rows)
-    _write_output(text, args.out)
-    return 0
+    rows = [[row.degree, row.sup_error, int(row.flagged)] for row in table.rows]
+    return asdict(table), ["degree", "sup_error", "condition_flag"], rows, 0
 
 
 # -- argument plumbing ---------------------------------------------------------
@@ -653,23 +512,38 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common_output(p: argparse.ArgumentParser) -> None:
+def _add_command(sub, name: str, func, help: str, pipeline: bool = True) -> argparse.ArgumentParser:
+    """A subcommand with the options every command has, plus the pipeline's."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
+    p.add_argument("map")
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    if pipeline:
+        p.add_argument("--beta", type=float, default=DEFAULT_BETA,
+                       help="contraction constant used for inversion-radius estimates")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--allow-unstable", action="store_true",
+                       help="proceed even when some eigenvalue modulus is >= 1")
+    return p
 
 
-def _add_pipeline_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta", type=float, default=DEFAULT_BETA,
-                   help="contraction constant used for inversion-radius estimates")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--allow-unstable", action="store_true",
-                   help="proceed even when some eigenvalue modulus is >= 1")
+def _add_point_options(p: argparse.ArgumentParser, samples: int | None = None,
+                       m_help: str = "conjugacy order") -> None:
+    """Options of the commands that evaluate the conjugacy at points.
 
-
-def _add_point_options(p: argparse.ArgumentParser) -> None:
+    With ``samples`` the command also draws that many directions per radius.
+    """
+    p.add_argument("-m", type=int, default=2, help=m_help)
+    p.add_argument("-D", "--degree", type=int, default=0,
+                   help="pipeline truncation degree (default: the conjugacy order)")
     p.add_argument("--tol", type=float, default=DEFAULT_POINT_TOL,
                    help="pointwise inversion tolerance")
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    if samples:
+        p.add_argument("--radii", required=True,
+                       help="comma list or geometric spec first:last:count")
+        p.add_argument("--samples", type=int, default=samples)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -677,70 +551,35 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("resonance", help="scan homological divisors for resonances")
-    p.add_argument("map")
+    p = _add_command(sub, "resonance", _cmd_resonance,
+                     "scan homological divisors for resonances", pipeline=False)
     p.add_argument("-K", "--order", type=int, default=5)
     p.add_argument("--tol", type=float, default=DEFAULT_RESONANCE_TOL)
     p.add_argument("--near-tol", type=float, default=DEFAULT_NEAR_RESONANCE_TOL)
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_resonance)
 
-    p = sub.add_parser("normalform", help="run the stagewise elimination")
-    p.add_argument("map")
+    p = _add_command(sub, "normalform", _cmd_normalform, "run the stagewise elimination")
     p.add_argument("-D", "--degree", type=int, default=4)
     p.add_argument("--tol", type=float, default=DEFAULT_RESONANCE_TOL,
                    help="resonance abort tolerance")
     p.add_argument("--chop", type=float, default=0.0,
                    help="hide coefficients at or below this magnitude (display only)")
-    _add_pipeline_options(p)
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_normalform)
 
-    p = sub.add_parser("invert", help="pull sampled points back through the conjugacy")
-    p.add_argument("map")
-    p.add_argument("-m", type=int, default=2, help="conjugacy order")
-    p.add_argument("-D", "--degree", type=int, default=0,
-                   help="pipeline truncation degree (default: the conjugacy order)")
-    p.add_argument("--radii", required=True,
-                   help="comma list or geometric spec first:last:count")
-    p.add_argument("--samples", type=int, default=16)
-    p.add_argument("--tol", type=float, default=DEFAULT_POINT_TOL)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    _add_pipeline_options(p)
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_invert)
+    p = _add_command(sub, "invert", _cmd_invert,
+                     "pull sampled points back through the conjugacy")
+    _add_point_options(p, samples=16)
 
-    p = sub.add_parser("residual-study",
-                       help="fit the decay order of eigenfunction residuals")
-    p.add_argument("map")
-    p.add_argument("-m", type=int, default=2, help="conjugacy order")
-    p.add_argument("-D", "--degree", type=int, default=0,
-                   help="pipeline truncation degree (default: the conjugacy order)")
+    p = _add_command(sub, "residual-study", _cmd_residual_study,
+                     "fit the decay order of eigenfunction residuals")
+    _add_point_options(p, samples=32)
     p.add_argument("--alpha", required=True, help="comma-separated exponent tuple")
-    p.add_argument("--radii", required=True)
-    p.add_argument("--samples", type=int, default=32)
-    _add_point_options(p)
-    _add_pipeline_options(p)
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_residual_study)
 
-    p = sub.add_parser("inverse-order",
-                       help="fit the decay order of the one-term inverse error")
-    p.add_argument("map")
-    p.add_argument("-m", type=int, default=2, help="stage whose factor is studied")
-    p.add_argument("-D", "--degree", type=int, default=0)
-    p.add_argument("--radii", required=True)
-    p.add_argument("--samples", type=int, default=32)
-    _add_point_options(p)
-    _add_pipeline_options(p)
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_inverse_order)
+    p = _add_command(sub, "inverse-order", _cmd_inverse_order,
+                     "fit the decay order of the one-term inverse error")
+    _add_point_options(p, samples=32, m_help="stage whose factor is studied")
 
-    p = sub.add_parser("density-demo",
-                       help="least-squares approximation power of the pullback algebra")
-    p.add_argument("map")
-    p.add_argument("-m", type=int, default=2, help="conjugacy order")
-    p.add_argument("-D", "--degree", type=int, default=0)
+    p = _add_command(sub, "density-demo", _cmd_density_demo,
+                     "least-squares approximation power of the pullback algebra")
+    _add_point_options(p)
     p.add_argument("--max-degree", type=int, default=5)
     p.add_argument("--box", default="-0.1:0.1",
                    help="lo:hi per axis, comma separated (one range is "
@@ -751,10 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-constant", action="store_true",
                    help="fit without a constant column (origin-vanishing algebra)")
     p.add_argument("--cond-limit", type=float, default=1e10)
-    _add_point_options(p)
-    _add_pipeline_options(p)
-    _add_common_output(p)
-    p.set_defaults(func=_cmd_density_demo)
 
     return parser
 
@@ -766,11 +601,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        payload, header, rows, code = args.func(args)
+        if args.format == "json":
+            text = json.dumps(payload, indent=2) + "\n"
+        else:
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            text = buf.getvalue()
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except ResonanceError as exc:
         print(f"koopnf: mathematical abort: {exc}", file=sys.stderr)
         return 2
-    except (MapFormatError, ConvergenceError, ValueError) as exc:
+    except (MapFormatError, ConvergenceError, ValueError, OSError) as exc:
         print(f"koopnf: error: {exc}", file=sys.stderr)
         return 1
 

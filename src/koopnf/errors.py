@@ -24,9 +24,14 @@ class ResonanceError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point iteration failed to reach the requested tolerance."""
+    """Fixed-point iteration failed to reach the requested tolerance.
+
+    ``reason`` is the message without the iteration and contraction-ratio
+    suffix, so a caller can re-wrap it without repeating that suffix.
+    """
 
     def __init__(self, message: str, iterations: int = 0, last_ratio: float | None = None):
+        self.reason = message
         self.iterations = iterations
         self.last_ratio = last_ratio
         if last_ratio is not None:

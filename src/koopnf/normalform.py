@@ -158,7 +158,6 @@ def series_inverse(phi: VectorPoly, max_degree: int) -> VectorPoly:
 def epsilon_bound(
     q: VectorPoly,
     beta: float = DEFAULT_BETA,
-    samples: int = DEFAULT_NORM_SAMPLES,
     seed: int = DEFAULT_NORM_SEED,
 ) -> float:
     """Radius (capped at 1) on which x -> y - Q(x) is a beta-contraction.
@@ -175,7 +174,7 @@ def epsilon_bound(
     m = q.lowest_degree()
     if m is None or m < 2 or not all(c.is_homogeneous(m) for c in q.components):
         raise ValueError("correction must be homogeneous of degree >= 2")
-    norm = sup_norm_estimate(q, samples, seed)
+    norm = sup_norm_estimate(q, DEFAULT_NORM_SAMPLES, seed)
     if norm == 0.0:
         return 1.0
     return min(1.0, (beta / (m * norm)) ** (1.0 / (m - 1)))
@@ -189,7 +188,6 @@ def normal_form_step(
     beta: float = DEFAULT_BETA,
     resonance_tol: float = DEFAULT_RESONANCE_TOL,
     near_tol: float = DEFAULT_NEAR_RESONANCE_TOL,
-    norm_samples: int = DEFAULT_NORM_SAMPLES,
     norm_seed: int = DEFAULT_NORM_SEED,
 ) -> NormalFormStage:
     """Eliminate degree m+1 from a map already normalized through degree m.
@@ -197,7 +195,9 @@ def normal_form_step(
     ``t_current`` must fix the origin, have linear part diag(lambdas) and no
     homogeneous parts in degrees 2..m (m = 1 means nothing eliminated yet).
     Returns the stage holding Q_{m+1}, the conjugated map truncated at
-    ``max_degree``, and the inversion-radius estimate.
+    ``max_degree``, and the inversion-radius estimate.  Raises ValueError
+    when a degree survives elimination, as overflowing or non-finite
+    coefficients make it do.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -215,13 +215,14 @@ def normal_form_step(
 
     scale = max(1.0, t_current.max_abs_coeff())
     for k in range(2, m + 2):
-        part = t_next.homogeneous_part(k)
-        assert part.max_abs_coeff() <= _ELIMINATION_TOL * scale, (
-            f"degree {k} survived elimination at stage {m + 1}: "
-            f"max coefficient {part.max_abs_coeff():.3e}"
-        )
+        survived = t_next.homogeneous_part(k).max_abs_coeff()
+        if not survived <= _ELIMINATION_TOL * scale:  # NaN fails this too
+            raise ValueError(
+                f"degree {k} survived elimination at stage {m + 1}: "
+                f"max coefficient {survived:.3e}"
+            )
 
-    eps = epsilon_bound(q, beta, norm_samples, norm_seed)
+    eps = epsilon_bound(q, beta, norm_seed)
     return NormalFormStage(m + 1, q, t_next, eps)
 
 
@@ -232,7 +233,6 @@ def run(
     beta: float = DEFAULT_BETA,
     resonance_tol: float = DEFAULT_RESONANCE_TOL,
     near_tol: float = DEFAULT_NEAR_RESONANCE_TOL,
-    norm_samples: int = DEFAULT_NORM_SAMPLES,
     norm_seed: int = DEFAULT_NORM_SEED,
     require_stable: bool = True,
 ) -> NormalFormSequence:
@@ -260,7 +260,7 @@ def run(
         try:
             stage = normal_form_step(
                 current, m, spec, max_degree, beta,
-                resonance_tol, near_tol, norm_samples, norm_seed,
+                resonance_tol, near_tol, norm_seed,
             )
         except ResonanceError as exc:
             raise ResonanceError(exc.component, exc.alpha, exc.mu, stage=m + 1) from None

@@ -121,7 +121,7 @@ def tau_inverse_pointwise(
             w = invert_phi_pointwise(seq.stage(k).Q, w, tol, max_iter)
         except ConvergenceError as exc:
             raise ConvergenceError(
-                f"stage-{k} factor inversion failed: {exc}",
+                f"stage-{k} factor inversion failed: {exc.reason}",
                 iterations=exc.iterations,
                 last_ratio=exc.last_ratio,
             ) from None
@@ -289,9 +289,13 @@ def residual_study(
             )
             records[(r, s)] = residual
 
-    maxima = {}
-    for (r, _), v in records.items():
-        maxima[r] = max(maxima.get(r, 0.0), v)
+    # The fit is filled in below, from the maxima the study itself reports.
+    study = ResidualStudy(
+        m=m, alpha=alpha, mu=mu_val, radii=radii, samples_per_radius=samples,
+        records=records, fitted_slope=float("nan"), fit_rsquared=float("nan"),
+        skipped=skipped,
+    )
+    maxima = study.max_residuals()
     usable = [r for r in radii if r in maxima]
     if len(usable) < len(radii):
         warnings.warn(
@@ -300,18 +304,10 @@ def residual_study(
             RuntimeWarning,
             stacklevel=2,
         )
-    slope, r2 = fit_loglog_slope(usable, [maxima[r] for r in usable])
-    return ResidualStudy(
-        m=m,
-        alpha=alpha,
-        mu=mu_val,
-        radii=radii,
-        samples_per_radius=samples,
-        records=records,
-        fitted_slope=slope,
-        fit_rsquared=r2,
-        skipped=skipped,
+    study.fitted_slope, study.fit_rsquared = fit_loglog_slope(
+        usable, [maxima[r] for r in usable]
     )
+    return study
 
 
 @dataclass

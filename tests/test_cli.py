@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import koopnf
 from koopnf.cli import (
     build_map,
     description_to_json,
@@ -75,6 +80,8 @@ def test_load_rejects_bad_documents(tmp_path):
         {"dim": 1, "eigenvalues": [[0.5, 0.0]], "unknown": 1},
         {"dim": 2, "eigenvalues": [[0.5, 0.0]]},                          # wrong count
         {"dim": 1, "eigenvalues": [[0.0, 0.0]]},                          # zero eigenvalue
+        {"dim": 1, "eigenvalues": [[float("nan"), 0.0]]},
+        {"dim": 1, "linear": [[[0.5, float("inf")]]]},
     ]
     for doc in cases:
         path = _write(tmp_path, "bad.json", doc)
@@ -93,6 +100,9 @@ def test_load_rejects_bad_terms(tmp_path):
         {"component": 1, "alpha": [1, 0], "coeff": [1.0, 0.0]},   # order < 2
         {"component": 1, "alpha": [2, 0], "coeff": [1.0]},
         {"component": 1, "alpha": [2, 0], "coeff": [1.0, 0.0], "extra": 1},
+        {"component": 1, "alpha": [2, 0], "coeff": [float("nan"), 0.0]},
+        {"component": 1, "alpha": [2, 0], "coeff": [0.0, float("-inf")]},
+        {"component": 1, "alpha": [2, 0], "coeff": [10 ** 400, 0.0]},
     ]
     for term in cases:
         path = _write(tmp_path, "badterm.json", dict(base, terms=[term]))
@@ -379,6 +389,31 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["normalform", str(tmp_path / "absent.json")]) == 1
     err = capsys.readouterr().err
     assert "error" in err
+    assert main(["resonance", _worked_1d(tmp_path), "--out", str(tmp_path / "no" / "x")]) == 1
+    assert "koopnf: error:" in capsys.readouterr().err
+
+
+def test_overflowing_map_exits_1(tmp_path, capsys):
+    path = _write(tmp_path, "huge.json", {
+        "dim": 1,
+        "eigenvalues": [[0.5, 0.0]],
+        "terms": [{"component": 1, "alpha": [2], "coeff": [1e300, 0.0]}],
+    })
+    assert main(["normalform", path, "-D", "3"]) == 1
+    assert "koopnf: error:" in capsys.readouterr().err
+
+
+def test_python_dash_m_matches_main(tmp_path, capsys):
+    args = ["normalform", _worked_1d(tmp_path), "-D", "3", "--format", "json"]
+    assert main(args) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(koopnf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "koopnf", *args], env=env,
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0
+    assert done.stdout == expected
 
 
 def test_degree_below_order_rejected(tmp_path, capsys):

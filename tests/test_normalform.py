@@ -340,6 +340,9 @@ def test_run_validation():
         run(t_map, spec, 1)
     with pytest.raises(ValueError):
         run(t_map, Spectrum((0.5, 0.3)), 3)
+    poisoned = VectorPoly.from_terms(1, [(0, (1,), 0.5), (0, (2,), float("nan"))])
+    with pytest.raises(ValueError, match="survived elimination"):
+        run(poisoned, spec, 3)
 
 
 def test_sequence_stage_access():

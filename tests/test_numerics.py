@@ -147,6 +147,11 @@ def test_tau_inverse_reports_failing_stage():
     seq = run(t_map, spec, 4)
     with pytest.raises(ConvergenceError, match="stage-2"):
         tau_inverse_pointwise(seq, 4, np.array([5.0]), max_iter=40)
+    with pytest.raises(ConvergenceError) as info:
+        tau_inverse_pointwise(seq, 2, np.array([5.0]), max_iter=5)
+    assert str(info.value).count("(iterations=5, last contraction ratio=") == 1
+    assert info.value.iterations == 5
+    assert info.value.last_ratio > 1
 
 
 def test_monomial_value():
