@@ -21,6 +21,7 @@ from .polyalg import (
     VectorPoly,
     grlex_key,
     linf,
+    monomial_value,
     multi_indices,
     polarize,
     sphere_points,
@@ -55,7 +56,6 @@ from .numerics import (
     fit_loglog_slope,
     inverse_asymptotics_study,
     invert_phi_pointwise,
-    monomial_value,
     orbit_domain_check,
     residual_study,
     tau_forward_pointwise,
@@ -90,6 +90,7 @@ __all__ = [
     "VectorPoly",
     "grlex_key",
     "linf",
+    "monomial_value",
     "multi_indices",
     "polarize",
     "sphere_points",
@@ -118,7 +119,6 @@ __all__ = [
     "fit_loglog_slope",
     "inverse_asymptotics_study",
     "invert_phi_pointwise",
-    "monomial_value",
     "orbit_domain_check",
     "residual_study",
     "tau_forward_pointwise",

@@ -333,7 +333,7 @@ def _pipeline(args, degree: int | None = None, resonance_tol: float = DEFAULT_RE
         degree = args.degree or max(args.m, 2)
     # Stability was settled above, so run() need not refuse the map again.
     seq = run(t_map, spec, degree, beta=args.beta, resonance_tol=resonance_tol,
-              norm_seed=args.seed, require_stable=False)
+              require_stable=False)
     return t_map, spec, seq
 
 
@@ -521,8 +521,10 @@ def _add_command(sub, name: str, func, help: str, pipeline: bool = True) -> argp
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     if pipeline:
         p.add_argument("--beta", type=float, default=DEFAULT_BETA,
-                       help="contraction constant used for inversion-radius estimates")
-        p.add_argument("--seed", type=int, default=0)
+                       help="contraction constant of the stage inversion radii")
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed of the sampled directions of invert, residual-study "
+                            "and inverse-order; other commands do not sample")
         p.add_argument("--allow-unstable", action="store_true",
                        help="proceed even when some eigenvalue modulus is >= 1")
     return p

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .errors import ResonanceError
-from .polyalg import ScalarPoly, VectorPoly, linf, sup_norm_estimate
+from .polyalg import ScalarPoly, VectorPoly, linf
 from .spectrum import (
     DEFAULT_NEAR_RESONANCE_TOL,
     DEFAULT_RESONANCE_TOL,
@@ -29,8 +29,6 @@ from .spectrum import (
 )
 
 DEFAULT_BETA = 0.5
-DEFAULT_NORM_SAMPLES = 512
-DEFAULT_NORM_SEED = 0
 
 # Internal consistency checks on eliminated degrees, relative to coefficient scale.
 _ELIMINATION_TOL = 1e-9
@@ -42,7 +40,8 @@ class NormalFormStage:
 
     ``m`` is the degree eliminated, ``Q`` the homogeneous degree-m correction
     (Phi_m = I + Q), ``T_after`` the conjugated map truncated at the global
-    degree, and ``epsilon`` the inversion-domain radius estimate for Phi_m.
+    degree, and ``epsilon`` the radius on which inverting Phi_m is a
+    contraction (see ``epsilon_bound``).
     """
 
     m: int
@@ -71,7 +70,7 @@ class NormalFormSequence:
         return VectorPoly.identity(self.spec.dim) + self.stage(m).Q
 
     def min_epsilon(self, m: int) -> float:
-        """Smallest inversion-radius estimate among stages 2..m."""
+        """Smallest inversion radius among stages 2..m."""
         return min(self.stage(k).epsilon for k in range(2, m + 1))
 
 
@@ -155,17 +154,15 @@ def series_inverse(phi: VectorPoly, max_degree: int) -> VectorPoly:
     return psi
 
 
-def epsilon_bound(
-    q: VectorPoly,
-    beta: float = DEFAULT_BETA,
-    seed: int = DEFAULT_NORM_SEED,
-) -> float:
+def epsilon_bound(q: VectorPoly, beta: float = DEFAULT_BETA) -> float:
     """Radius (capped at 1) on which x -> y - Q(x) is a beta-contraction.
 
-    Uses the sampled sup-norm of the homogeneous correction Q as a stand-in
-    for its multilinear norm: for degree m the contraction holds on balls of
-    radius below (beta / (m * norm))^(1/(m-1)).  A zero Q is unconstrained
-    and returns 1.
+    For Q homogeneous of degree m with coefficient bound
+    N = max_j sum_alpha |c_{j,alpha}|, every row sum of the Jacobian of Q on
+    the max-norm ball of radius r is at most m * r^(m-1) * N, so Q is
+    beta-Lipschitz on the ball of radius (beta / (m * N))^(1/(m-1)).  The
+    radius is a guarantee, not an estimate, and depends on Q and beta only.
+    A zero Q is unconstrained and returns 1.
     """
     if not 0 < beta < 1:
         raise ValueError("beta must lie in (0, 1)")
@@ -174,7 +171,7 @@ def epsilon_bound(
     m = q.lowest_degree()
     if m is None or m < 2 or not all(c.is_homogeneous(m) for c in q.components):
         raise ValueError("correction must be homogeneous of degree >= 2")
-    norm = sup_norm_estimate(q, DEFAULT_NORM_SAMPLES, seed)
+    norm = max(sum(abs(c) for c in comp.terms.values()) for comp in q.components)
     if norm == 0.0:
         return 1.0
     return min(1.0, (beta / (m * norm)) ** (1.0 / (m - 1)))
@@ -188,14 +185,13 @@ def normal_form_step(
     beta: float = DEFAULT_BETA,
     resonance_tol: float = DEFAULT_RESONANCE_TOL,
     near_tol: float = DEFAULT_NEAR_RESONANCE_TOL,
-    norm_seed: int = DEFAULT_NORM_SEED,
 ) -> NormalFormStage:
     """Eliminate degree m+1 from a map already normalized through degree m.
 
     ``t_current`` must fix the origin, have linear part diag(lambdas) and no
     homogeneous parts in degrees 2..m (m = 1 means nothing eliminated yet).
     Returns the stage holding Q_{m+1}, the conjugated map truncated at
-    ``max_degree``, and the inversion-radius estimate.  Raises ValueError
+    ``max_degree``, and the inversion radius.  Raises ValueError
     when a degree survives elimination, as overflowing or non-finite
     coefficients make it do.
     """
@@ -222,7 +218,7 @@ def normal_form_step(
                 f"max coefficient {survived:.3e}"
             )
 
-    eps = epsilon_bound(q, beta, norm_seed)
+    eps = epsilon_bound(q, beta)
     return NormalFormStage(m + 1, q, t_next, eps)
 
 
@@ -233,7 +229,6 @@ def run(
     beta: float = DEFAULT_BETA,
     resonance_tol: float = DEFAULT_RESONANCE_TOL,
     near_tol: float = DEFAULT_NEAR_RESONANCE_TOL,
-    norm_seed: int = DEFAULT_NORM_SEED,
     require_stable: bool = True,
 ) -> NormalFormSequence:
     """Run every elimination stage from degree 2 through ``max_degree``.
@@ -258,10 +253,8 @@ def run(
     current = t_map.truncate(max_degree)
     for m in range(1, max_degree):
         try:
-            stage = normal_form_step(
-                current, m, spec, max_degree, beta,
-                resonance_tol, near_tol, norm_seed,
-            )
+            stage = normal_form_step(current, m, spec, max_degree, beta,
+                                     resonance_tol, near_tol)
         except ResonanceError as exc:
             raise ResonanceError(exc.component, exc.alpha, exc.mu, stage=m + 1) from None
         stages.append(stage)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .normalform import NormalFormSequence, tau
-from .polyalg import MultiIndex, VectorPoly, linf, sphere_points
+from .polyalg import MultiIndex, VectorPoly, linf, monomial_value, sphere_points
 
 DEFAULT_POINT_TOL = 1e-13
 DEFAULT_MAX_ITER = 200
@@ -126,15 +126,6 @@ def tau_inverse_pointwise(
                 last_ratio=exc.last_ratio,
             ) from None
     return w
-
-
-def monomial_value(z: Sequence[complex], alpha: Sequence[int]) -> complex:
-    """The product of coordinate powers z^alpha."""
-    out = 1 + 0j
-    for zi, a in zip(z, alpha):
-        if a:
-            out *= complex(zi) ** int(a)
-    return out
 
 
 def eval_approx_eigenfunction(

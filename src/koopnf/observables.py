@@ -16,9 +16,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .normalform import NormalFormSequence
-from .numerics import DEFAULT_MAX_ITER, DEFAULT_POINT_TOL, monomial_value, tau_inverse_pointwise
-from .polyalg import MultiIndex, ScalarPoly, grlex_key, multi_indices
+from .numerics import DEFAULT_MAX_ITER, DEFAULT_POINT_TOL, tau_inverse_pointwise
+from .polyalg import MultiIndex, ScalarPoly, grlex_key, monomial_value, multi_indices
 
 DENSITY_MAX_DIM = 2
 DEFAULT_GRID_POINTS = 41
@@ -133,12 +134,15 @@ def density_demo(
     reported together with the design-matrix condition number; fits whose
     condition exceeds ``condition_limit`` are flagged but still reported.
 
-    The box must sit inside the region where the factor inversions converge,
-    otherwise building the generators fails with a descriptive error.
+    The box must sit inside the region where the factor inversions converge.
+    Otherwise every grid point is still tried, and one ValueError reports
+    how many failed and the first that did.
     """
     n = seq.spec.dim
     if n > DENSITY_MAX_DIM:
         raise ValueError(f"density demo supports dim <= {DENSITY_MAX_DIM}")
+    if not 2 <= m <= seq.D:
+        raise ValueError(f"m must lie in 2..{seq.D}")
     if len(box) != n:
         raise ValueError(f"box has {len(box)} axes, expected {n}")
     if max_degree < 1:
@@ -153,14 +157,18 @@ def density_demo(
     grid = [np.array(pt, dtype=float) for pt in product(*axes)]
 
     pulled = []
-    for idx, pt in enumerate(grid):
+    failures = []
+    for pt in grid:
         try:
             pulled.append(tau_inverse_pointwise(seq, m, pt.astype(complex), tol, max_iter))
-        except Exception as exc:
-            raise ValueError(
-                f"generator evaluation failed at grid point {pt.tolist()}: {exc}; "
-                "shrink the box toward the fixed point"
-            ) from exc
+        except ConvergenceError as exc:
+            failures.append((pt, exc))
+    if failures:
+        pt, exc = failures[0]
+        raise ValueError(
+            f"generator evaluation failed at {len(failures)} of {len(grid)} grid points, "
+            f"first at {pt.tolist()}: {exc}; shrink the box toward the fixed point"
+        ) from exc
     targets = np.array([complex(target(pt)) for pt in grid])
 
     min_degree = 0 if with_constant else 1

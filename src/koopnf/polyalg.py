@@ -532,6 +532,15 @@ def linf(x: Sequence[complex]) -> float:
     return float(np.max(np.abs(np.asarray(x, dtype=complex))))
 
 
+def monomial_value(z: Sequence[complex], alpha: Sequence[int]) -> complex:
+    """The product of coordinate powers z^alpha."""
+    out = 1 + 0j
+    for zi, a in zip(z, alpha):
+        if a:
+            out *= complex(zi) ** int(a)
+    return out
+
+
 def sphere_points(dim: int, count: int, seed: int) -> np.ndarray:
     """Deterministic quasi-uniform points on the unit sphere of ``linf``.
 

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DefectiveMatrixError
-from .polyalg import MultiIndex, ScalarPoly, VectorPoly, multi_indices
+from .polyalg import MultiIndex, ScalarPoly, VectorPoly, monomial_value, multi_indices
 
 MAX_EIGEN_DIM = 16
 
@@ -53,11 +53,7 @@ class Spectrum:
         """The monomial eigenvalue lambda^alpha."""
         if len(alpha) != self.dim:
             raise ValueError(f"alpha has length {len(alpha)}, expected {self.dim}")
-        out = 1 + 0j
-        for lam, a in zip(self.lambdas, alpha):
-            if a:
-                out *= lam ** int(a)
-        return out
+        return monomial_value(self.lambdas, alpha)
 
     def diagonal_map(self) -> VectorPoly:
         return VectorPoly.diagonal(self.lambdas)

@@ -131,3 +131,22 @@ def coeff_rel_err(found: VectorPoly, expected: VectorPoly) -> float:
     """Largest coefficient difference relative to the expected scale."""
     diff = (found - expected).max_abs_coeff()
     return diff / max(1.0, expected.max_abs_coeff())
+
+
+def jacobian_row_sum(q: VectorPoly, x) -> float:
+    """Max-norm operator norm of the Jacobian DQ(x): max_j sum_i |dQ_j/dx_i|.
+
+    Differentiates term by term, independently of the package's own bounds.
+    """
+    x = np.asarray(x, dtype=complex)
+    worst = 0.0
+    for comp in q.components:
+        row = np.zeros(q.dim, dtype=complex)
+        for alpha, c in comp.terms.items():
+            for i, a in enumerate(alpha):
+                if a:
+                    lowered = np.array(alpha)
+                    lowered[i] -= 1
+                    row[i] += c * a * np.prod(x ** lowered)
+        worst = max(worst, float(np.sum(np.abs(row))))
+    return worst

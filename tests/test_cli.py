@@ -249,6 +249,15 @@ def test_normalform_command_json(tmp_path, capsys):
     assert q2 == [{"component": 1, "alpha": [2], "coeff": [-4.0, 0.0]}]
 
 
+def test_normalform_output_does_not_depend_on_seed(tmp_path, capsys):
+    path = _write(tmp_path, "two.json", emit_description(*two_d_map()))
+    outputs = []
+    for seed in ("0", "7"):
+        assert main(["normalform", path, "-D", "4", "--seed", seed]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_normalform_resonant_map_exits_2(tmp_path, capsys):
     rc = main(["normalform", _resonant_2d(tmp_path), "-D", "3"])
     err = capsys.readouterr().err

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopnf import (
     ResonanceError,
@@ -15,6 +17,7 @@ from koopnf import (
     epsilon_bound,
     lie_apply,
     lie_solve,
+    multi_indices,
     normal_form_step,
     run,
     series_inverse,
@@ -24,6 +27,7 @@ from koopnf import (
 from helpers import (
     coeff_rel_err,
     draw_nonresonant_spectrum,
+    jacobian_row_sum,
     one_d_map,
     plant_linearizable_map,
     random_homogeneous,
@@ -224,6 +228,51 @@ def test_epsilon_bound_values():
     assert epsilon_bound(VectorPoly.zero(2)) == 1.0
     # a weak correction cannot push the radius beyond the cap of 1
     assert epsilon_bound(0.01 * q2) == 1.0
+    # coefficient bound N = 1 + 1 + 1 = 3, so epsilon = beta / (2 N) = 1/12
+    x1, x2 = ScalarPoly.variable(2, 0), ScalarPoly.variable(2, 1)
+    q_mixed = VectorPoly((x1 * x1 + x1 * x2 - x2 * x2, ScalarPoly.zero(2)))
+    assert epsilon_bound(q_mixed, beta=0.5) == pytest.approx(1 / 12, rel=1e-15)
+
+
+def test_epsilon_bound_jacobian_at_worst_point():
+    # At (eps, i eps) both partials of x1^2 + x1 x2 - x2^2 have modulus
+    # sqrt(5) eps, so the Jacobian's row sum 2 sqrt(5) eps must stay <= beta.
+    x1, x2 = ScalarPoly.variable(2, 0), ScalarPoly.variable(2, 1)
+    q = VectorPoly((x1 * x1 + x1 * x2 - x2 * x2, ScalarPoly.zero(2)))
+    eps = epsilon_bound(q, beta=0.5)
+    row_sum = jacobian_row_sum(q, (eps, 1j * eps))
+    assert row_sum == pytest.approx(2 * math.sqrt(5) * eps, rel=1e-14)
+    assert row_sum <= 0.5
+
+
+@st.composite
+def _homogeneous_and_point(draw):
+    dim = draw(st.integers(1, 3))
+    degree = draw(st.integers(2, 4))
+    coeff = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    terms = [
+        (j, alpha, draw(coeff))
+        for j in range(dim)
+        for alpha in multi_indices(dim, degree)
+    ]
+    # The bound is tight on the sphere at phases that align the terms, so
+    # draw unit moduli and quarter turns often.
+    radius = st.just(1.0) | st.floats(0.0, 1.0)
+    quarter_turns = st.sampled_from([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
+    angle = quarter_turns | st.floats(0.0, 2 * math.pi)
+    radii = draw(st.lists(radius, min_size=dim, max_size=dim))
+    angles = draw(st.lists(angle, min_size=dim, max_size=dim))
+    unit = [r * complex(math.cos(a), math.sin(a)) for r, a in zip(radii, angles)]
+    return VectorPoly.from_terms(dim, terms), unit
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_homogeneous_and_point(), st.floats(0.05, 0.95))
+def test_epsilon_bound_contracts_on_its_ball(q_and_unit, beta):
+    q, unit = q_and_unit
+    eps = epsilon_bound(q, beta)
+    x = [eps * u for u in unit]
+    assert jacobian_row_sum(q, x) <= beta * (1 + 1e-12)
 
 
 def test_epsilon_bound_validation():
