@@ -176,14 +176,15 @@ def load_description(path: str) -> MapDescription:
 
 
 def build_map(
-    desc: MapDescription, max_condition: float = 1e8
+    desc: MapDescription,
 ) -> tuple[VectorPoly, Spectrum, np.ndarray | None, np.ndarray | None]:
     """Assemble the polynomial map in eigencoordinates.
 
     With ``eigenvalues`` the terms are used as given.  With ``linear`` the
-    matrix is diagonalized and the nonlinear terms transformed into the
-    eigenbasis; returns the change-of-basis matrix and its inverse in that
-    case (None, None otherwise).  Warns when the spectrum is not stable.
+    matrix is diagonalized by ``eigencoordinates`` (which rejects a nearly
+    defective one) and the nonlinear terms transformed into the eigenbasis;
+    returns the change-of-basis matrix and its inverse in that case (None,
+    None otherwise).  Warns when the spectrum is not stable.
     """
     n = desc.dim
     nonlinear = VectorPoly.from_terms(
@@ -194,7 +195,7 @@ def build_map(
         vmat = vinv = None
         t_map = spec.diagonal_map() + nonlinear
     else:
-        spec, vmat, vinv = eigencoordinates(desc.linear, max_condition)
+        spec, vmat, vinv = eigencoordinates(desc.linear)
         transformed = nonlinear.compose(
             VectorPoly.from_linear(vmat), max(nonlinear.degree, 1)
         ).matrix_apply(vinv)
@@ -248,7 +249,7 @@ def description_to_json(doc: dict) -> str:
 
 
 def parse_radii(text: str) -> list[float]:
-    """Either a comma list or a geometric spec 'first:last:count'."""
+    """Either a comma list or a geometric spec 'first:last:count' of positive radii."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -256,8 +257,15 @@ def parse_radii(text: str) -> list[float]:
         first, last, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 2:
             raise ValueError("geometric radii spec needs count >= 2")
+        if not (first > 0 and last > 0):
+            raise ValueError("radii must be positive")
         return [float(r) for r in np.geomspace(first, last, count)]
-    return [float(v) for v in text.split(",") if v.strip()]
+    radii = [float(v) for v in text.split(",") if v.strip()]
+    if not radii:
+        raise ValueError("radii list is empty")
+    if not all(r > 0 for r in radii):
+        raise ValueError("radii must be positive")
+    return radii
 
 
 def parse_alpha(text: str, dim: int) -> tuple[int, ...]:

@@ -38,14 +38,16 @@ _ELIMINATION_TOL = 1e-9
 class NormalFormStage:
     """One elimination stage.
 
-    ``m`` is the degree eliminated, ``Q`` the homogeneous degree-m correction
-    (Phi_m = I + Q), ``T_after`` the conjugated map truncated at the global
-    degree, and ``epsilon`` the radius on which inverting Phi_m is a
-    contraction (see ``epsilon_bound``).
+    ``m`` is the degree eliminated, ``Q`` the homogeneous degree-m correction,
+    ``phi`` the stage factor Phi_m = I + Q that conjugates the map,
+    ``T_after`` the conjugated map truncated at the global degree, and
+    ``epsilon`` the radius on which inverting Phi_m is a contraction (see
+    ``epsilon_bound``).
     """
 
     m: int
     Q: VectorPoly
+    phi: VectorPoly
     T_after: VectorPoly
     epsilon: float
 
@@ -60,14 +62,18 @@ class NormalFormSequence:
     stages: list[NormalFormStage]
     tau_cache: dict = field(default_factory=dict, repr=False)
 
+    def check_order(self, m: int) -> None:
+        """Require a conjugacy order the sequence covers: 2 <= m <= D."""
+        if not 2 <= m <= self.D:
+            raise ValueError(f"m must lie in 2..{self.D}")
+
     def stage(self, m: int) -> NormalFormStage:
-        if not 2 <= m <= self.D or m - 2 >= len(self.stages):
-            raise ValueError(f"no stage of order {m} (available: 2..{len(self.stages) + 1})")
+        self.check_order(m)
         return self.stages[m - 2]
 
     def phi(self, m: int) -> VectorPoly:
-        """The stage-m transform Phi_m = I + Q_m."""
-        return VectorPoly.identity(self.spec.dim) + self.stage(m).Q
+        """The stage-m factor Phi_m = I + Q_m, as stored on the stage."""
+        return self.stage(m).phi
 
     def min_epsilon(self, m: int) -> float:
         """Smallest inversion radius among stages 2..m."""
@@ -78,7 +84,6 @@ def lie_solve(
     r_hat: VectorPoly,
     spec: Spectrum,
     tol: float = DEFAULT_RESONANCE_TOL,
-    near_tol: float = DEFAULT_NEAR_RESONANCE_TOL,
 ) -> VectorPoly:
     """Solve the homological equation for a homogeneous right-hand side.
 
@@ -86,16 +91,14 @@ def lie_solve(
     vector monomials with eigenvalue lambda^alpha - lambda_j, so the solution
     just divides each coefficient by that divisor.  A divisor with
     |mu| <= tol on a present term raises ResonanceError; a divisor below
-    near_tol triggers a warning.
+    ``DEFAULT_NEAR_RESONANCE_TOL`` (1e-4) triggers a warning.
     """
     if r_hat.dim != spec.dim:
         raise ValueError(f"dimension mismatch: {r_hat.dim} vs {spec.dim}")
     if r_hat.is_zero():
         return VectorPoly.zero(spec.dim)
-    deg = r_hat.lowest_degree()
-    if deg is None or deg < 2 or not all(
-        c.is_homogeneous(deg) for c in r_hat.components
-    ):
+    deg = r_hat.homogeneous_degree()
+    if deg is None or deg < 2:
         raise ValueError("right-hand side must be homogeneous of degree >= 2")
     comps = []
     for j, comp in enumerate(r_hat.components):
@@ -104,7 +107,7 @@ def lie_solve(
             m_val = mu(j, alpha, spec)
             if abs(m_val) <= tol:
                 raise ResonanceError(j, alpha, m_val)
-            if abs(m_val) < near_tol:
+            if abs(m_val) < DEFAULT_NEAR_RESONANCE_TOL:
                 warnings.warn(
                     f"near-resonant division |mu|={abs(m_val):.3e} at component "
                     f"{j + 1}, alpha {alpha}",
@@ -168,8 +171,8 @@ def epsilon_bound(q: VectorPoly, beta: float = DEFAULT_BETA) -> float:
         raise ValueError("beta must lie in (0, 1)")
     if q.is_zero():
         return 1.0
-    m = q.lowest_degree()
-    if m is None or m < 2 or not all(c.is_homogeneous(m) for c in q.components):
+    m = q.homogeneous_degree()
+    if m is None or m < 2:
         raise ValueError("correction must be homogeneous of degree >= 2")
     norm = max(sum(abs(c) for c in comp.terms.values()) for comp in q.components)
     if norm == 0.0:
@@ -184,16 +187,15 @@ def normal_form_step(
     max_degree: int,
     beta: float = DEFAULT_BETA,
     resonance_tol: float = DEFAULT_RESONANCE_TOL,
-    near_tol: float = DEFAULT_NEAR_RESONANCE_TOL,
 ) -> NormalFormStage:
     """Eliminate degree m+1 from a map already normalized through degree m.
 
     ``t_current`` must fix the origin, have linear part diag(lambdas) and no
     homogeneous parts in degrees 2..m (m = 1 means nothing eliminated yet).
-    Returns the stage holding Q_{m+1}, the conjugated map truncated at
-    ``max_degree``, and the inversion radius.  Raises ValueError
-    when a degree survives elimination, as overflowing or non-finite
-    coefficients make it do.
+    Returns the stage holding Q_{m+1}, its factor Phi_{m+1}, the conjugated
+    map truncated at ``max_degree``, and the inversion radius.  Raises
+    ValueError when a degree survives elimination, as overflowing or
+    non-finite coefficients make it do.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -202,10 +204,9 @@ def normal_form_step(
     _check_pipeline_form(t_current, spec)
 
     r_hat = t_current.homogeneous_part(m + 1)
-    q = lie_solve(r_hat, spec, resonance_tol, near_tol) if not r_hat.is_zero() \
+    q = lie_solve(r_hat, spec, resonance_tol) if not r_hat.is_zero() \
         else VectorPoly.zero(spec.dim)
-    ident = VectorPoly.identity(spec.dim)
-    phi = ident + q
+    phi = VectorPoly.identity(spec.dim) + q
     psi = series_inverse(phi, max_degree)
     t_next = psi.compose(t_current.compose(phi, max_degree), max_degree)
 
@@ -219,7 +220,7 @@ def normal_form_step(
             )
 
     eps = epsilon_bound(q, beta)
-    return NormalFormStage(m + 1, q, t_next, eps)
+    return NormalFormStage(m + 1, q, phi, t_next, eps)
 
 
 def run(
@@ -228,7 +229,6 @@ def run(
     max_degree: int,
     beta: float = DEFAULT_BETA,
     resonance_tol: float = DEFAULT_RESONANCE_TOL,
-    near_tol: float = DEFAULT_NEAR_RESONANCE_TOL,
     require_stable: bool = True,
 ) -> NormalFormSequence:
     """Run every elimination stage from degree 2 through ``max_degree``.
@@ -253,8 +253,7 @@ def run(
     current = t_map.truncate(max_degree)
     for m in range(1, max_degree):
         try:
-            stage = normal_form_step(current, m, spec, max_degree, beta,
-                                     resonance_tol, near_tol)
+            stage = normal_form_step(current, m, spec, max_degree, beta, resonance_tol)
         except ResonanceError as exc:
             raise ResonanceError(exc.component, exc.alpha, exc.mu, stage=m + 1) from None
         stages.append(stage)
@@ -270,8 +269,7 @@ def tau(seq: NormalFormSequence, m: int, max_degree: int | None = None) -> Vecto
     """
     if max_degree is None:
         max_degree = seq.D
-    if not 2 <= m <= seq.D:
-        raise ValueError(f"m must lie in 2..{seq.D}")
+    seq.check_order(m)
     key = (m, max_degree)
     if key in seq.tau_cache:
         return seq.tau_cache[key]

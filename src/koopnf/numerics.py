@@ -18,8 +18,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConvergenceError
-from .normalform import NormalFormSequence, tau
-from .polyalg import MultiIndex, VectorPoly, linf, monomial_value, sphere_points
+from .normalform import NormalFormSequence
+from .polyalg import MultiIndex, VectorPoly, _validate_alpha, linf, monomial_value, sphere_points
 
 DEFAULT_POINT_TOL = 1e-13
 DEFAULT_MAX_ITER = 200
@@ -92,8 +92,7 @@ def tau_forward_pointwise(seq: NormalFormSequence, m: int, z: Sequence[complex])
     Applies Phi_m first and Phi_2 last, matching the series composition
     Phi_2 o ... o Phi_m.  No truncation is involved.
     """
-    if not 2 <= m <= seq.D:
-        raise ValueError(f"m must lie in 2..{seq.D}")
+    seq.check_order(m)
     w = np.asarray(z, dtype=complex)
     for k in range(m, 1, -1):
         w = seq.phi(k).evaluate(w)
@@ -113,8 +112,7 @@ def tau_inverse_pointwise(
     the Phi_m inversion last.  Raises ConvergenceError naming the stage
     whose inversion failed.
     """
-    if not 2 <= m <= seq.D:
-        raise ValueError(f"m must lie in 2..{seq.D}")
+    seq.check_order(m)
     w = np.asarray(x, dtype=complex)
     for k in range(2, m + 1):
         try:
@@ -142,20 +140,9 @@ def eval_approx_eigenfunction(
     monomial z^alpha there.  Returns (value, eigenvalue) where the
     eigenvalue is the monomial eigenvalue lambda^alpha.
     """
-    alpha = _check_alpha(alpha, seq.spec.dim)
+    alpha = _validate_alpha(alpha, seq.spec.dim, min_order=1)
     z = tau_inverse_pointwise(seq, m, x, tol, max_iter)
     return monomial_value(z, alpha), seq.spec.power(alpha)
-
-
-def _check_alpha(alpha: Sequence[int], dim: int) -> MultiIndex:
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != dim:
-        raise ValueError(f"alpha has length {len(alpha)}, expected {dim}")
-    if any(a < 0 for a in alpha):
-        raise ValueError("alpha entries must be nonnegative")
-    if sum(alpha) < 1:
-        raise ValueError("alpha must have order >= 1")
-    return alpha
 
 
 def fit_loglog_slope(radii: Sequence[float], values: Sequence[float]) -> tuple[float, float]:
@@ -245,12 +232,10 @@ def residual_study(
     """
     if t_map != seq.T_input:
         raise ValueError("map is not the input the sequence was built from")
-    if not 2 <= m <= seq.D:
-        raise ValueError(f"m must lie in 2..{seq.D}")
-    alpha = _check_alpha(alpha, seq.spec.dim)
+    seq.check_order(m)
+    alpha = _validate_alpha(alpha, seq.spec.dim, min_order=1)
     radii = _check_radii(radii)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    dirs = sphere_points(seq.spec.dim, samples, seed)
     eps = seq.min_epsilon(m)
     if radii[0] >= eps:
         warnings.warn(
@@ -261,7 +246,6 @@ def residual_study(
         )
 
     mu_val = seq.spec.power(alpha)
-    dirs = sphere_points(seq.spec.dim, samples, seed)
     records: dict[tuple[float, int], float] = {}
     skipped = 0
     for r in radii:
@@ -332,8 +316,6 @@ def inverse_asymptotics_study(
     fitted slope should approach 2m - 1.
     """
     radii = _check_radii(radii)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     dirs = sphere_points(q.dim, samples, seed)
     max_errors: dict[float, float] = {}
     for r in radii:
@@ -377,8 +359,7 @@ def domain_check(seq: NormalFormSequence, m: int, z: Sequence[complex]) -> Domai
     stage is recorded even after a failure so the report shows the full
     chain.
     """
-    if not 2 <= m <= seq.D:
-        raise ValueError(f"m must lie in 2..{seq.D}")
+    seq.check_order(m)
     w = np.asarray(z, dtype=complex)
     checks: list[DomainStageCheck] = []
     norm = linf(w)

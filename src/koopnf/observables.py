@@ -44,8 +44,7 @@ class PullbackObservable:
             raise ValueError(
                 f"dimension mismatch: observable dim {self.f.dim}, map dim {self.seq.spec.dim}"
             )
-        if not 2 <= self.m <= self.seq.D:
-            raise ValueError(f"m must lie in 2..{self.seq.D}")
+        self.seq.check_order(self.m)
         if not self.with_constant and self.f.coefficient((0,) * self.f.dim) != 0:
             raise ValueError(
                 "observable has a constant term but was declared origin-vanishing"
@@ -141,8 +140,7 @@ def density_demo(
     n = seq.spec.dim
     if n > DENSITY_MAX_DIM:
         raise ValueError(f"density demo supports dim <= {DENSITY_MAX_DIM}")
-    if not 2 <= m <= seq.D:
-        raise ValueError(f"m must lie in 2..{seq.D}")
+    seq.check_order(m)
     if len(box) != n:
         raise ValueError(f"box has {len(box)} axes, expected {n}")
     if max_degree < 1:

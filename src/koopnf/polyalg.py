@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,12 +45,15 @@ def multi_indices(dim: int, order: int) -> Iterable[MultiIndex]:
             yield (first,) + rest
 
 
-def _validate_alpha(alpha: Sequence[int], dim: int) -> MultiIndex:
+def _validate_alpha(alpha: Sequence[int], dim: int, min_order: int = 0) -> MultiIndex:
+    """``alpha`` as ``dim`` nonnegative exponents of total order >= ``min_order``."""
     tup = tuple(int(a) for a in alpha)
     if len(tup) != dim:
         raise ValueError(f"exponent tuple {tup} has length {len(tup)}, expected {dim}")
     if any(a < 0 for a in tup):
         raise ValueError(f"exponent tuple {tup} has a negative entry")
+    if sum(tup) < min_order:
+        raise ValueError(f"exponent tuple {tup} must have order >= {min_order}")
     return tup
 
 
@@ -263,12 +266,10 @@ class ScalarPoly:
 
     # -- display ---------------------------------------------------------
 
-    def to_string(self, chop: float = 0.0) -> str:
-        """Human-readable form; coefficients with magnitude <= chop are hidden."""
+    def to_string(self) -> str:
+        """Human-readable form, terms in grlex order."""
         parts = []
         for alpha, c in self._terms.items():
-            if chop and abs(c) <= chop:
-                continue
             mono = " ".join(
                 f"x{i + 1}" + (f"^{a}" if a > 1 else "")
                 for i, a in enumerate(alpha) if a
@@ -400,6 +401,11 @@ class VectorPoly:
         lows = [c.lowest_degree() for c in self._components if not c.is_zero()]
         return min(lows) if lows else None
 
+    def homogeneous_degree(self) -> int | None:
+        """The common total degree of all terms, or None if mixed or zero."""
+        degs = {sum(a) for c in self._components for a in c._terms}
+        return degs.pop() if len(degs) == 1 else None
+
     def max_abs_coeff(self) -> float:
         return max(c.max_abs_coeff() for c in self._components)
 
@@ -484,8 +490,8 @@ class VectorPoly:
             comps.append(acc)
         return VectorPoly(comps)
 
-    def to_string(self, chop: float = 0.0) -> str:
-        return "(" + ", ".join(c.to_string(chop) for c in self._components) + ")"
+    def to_string(self) -> str:
+        return "(" + ", ".join(c.to_string() for c in self._components) + ")"
 
     def __str__(self) -> str:
         return self.to_string()
@@ -546,8 +552,10 @@ def sphere_points(dim: int, count: int, seed: int) -> np.ndarray:
 
     Coordinates are drawn uniformly from the complex unit box and each point
     is scaled so its largest coordinate modulus is exactly 1.  Returns an
-    array of shape (count, dim).
+    array of shape (count, dim); ``count`` must be >= 1.
     """
+    if count < 1:
+        raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.0, 1.0, (count, dim)) + 1j * rng.uniform(-1.0, 1.0, (count, dim))
     for k in range(count):
@@ -562,8 +570,6 @@ def sphere_points(dim: int, count: int, seed: int) -> np.ndarray:
 
 def sup_norm_estimate(p: VectorPoly, samples: int = 1024, seed: int = 0) -> float:
     """Lower bound on sup of ``linf(p(x))`` over the unit sphere, by sampling."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     best = 0.0
     for x in sphere_points(p.dim, samples, seed):
         val = linf(p.evaluate(x))

@@ -17,12 +17,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DefectiveMatrixError
-from .polyalg import MultiIndex, ScalarPoly, VectorPoly, monomial_value, multi_indices
+from .polyalg import (MultiIndex, ScalarPoly, VectorPoly, _validate_alpha, monomial_value,
+                      multi_indices)
 
 MAX_EIGEN_DIM = 16
 
 DEFAULT_RESONANCE_TOL = 1e-10
+# Elimination warns below this divisor; check_resonance's near_tol defaults to it.
 DEFAULT_NEAR_RESONANCE_TOL = 1e-4
+# Eigenvector condition number above which a linear part counts as defective.
+MAX_EIGENVECTOR_CONDITION = 1e8
 
 
 @dataclass(frozen=True)
@@ -51,9 +55,7 @@ class Spectrum:
 
     def power(self, alpha: Sequence[int]) -> complex:
         """The monomial eigenvalue lambda^alpha."""
-        if len(alpha) != self.dim:
-            raise ValueError(f"alpha has length {len(alpha)}, expected {self.dim}")
-        return monomial_value(self.lambdas, alpha)
+        return monomial_value(self.lambdas, _validate_alpha(alpha, self.dim))
 
     def diagonal_map(self) -> VectorPoly:
         return VectorPoly.diagonal(self.lambdas)
@@ -79,10 +81,7 @@ def mu(j: int, alpha: Sequence[int], spec: Spectrum) -> complex:
     """Homological divisor lambda^alpha - lambda_j for 0-based component j."""
     if not 0 <= j < spec.dim:
         raise ValueError(f"component index {j} out of range for dim {spec.dim}")
-    alpha = tuple(int(a) for a in alpha)
-    if sum(alpha) < 1:
-        raise ValueError("alpha must have order >= 1")
-    return spec.power(alpha) - spec.lambdas[j]
+    return spec.power(_validate_alpha(alpha, spec.dim, min_order=1)) - spec.lambdas[j]
 
 
 def check_resonance(
@@ -135,16 +134,14 @@ def apply_koopman_linear(p: ScalarPoly, spec: Spectrum) -> ScalarPoly:
     return ScalarPoly(p.dim, {a: c * spec.power(a) for a, c in p.terms.items()})
 
 
-def eigencoordinates(
-    matrix, max_condition: float = 1e8
-) -> tuple[Spectrum, np.ndarray, np.ndarray]:
+def eigencoordinates(matrix) -> tuple[Spectrum, np.ndarray, np.ndarray]:
     """Diagonalize a linear part: A = V diag(lambdas) V^-1.
 
     Returns (spectrum, V, V_inverse) with eigenvalues in a deterministic
     order (descending modulus, then descending real and imaginary parts) and
     eigenvector columns normalized so the largest entry is real positive.
-    Rejects defective or nearly-defective matrices via the eigenvector
-    condition number.
+    Rejects defective or nearly-defective matrices: those whose eigenvector
+    condition number exceeds ``MAX_EIGENVECTOR_CONDITION`` (1e8).
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -167,10 +164,10 @@ def eigencoordinates(
             vecs[:, k] = col * (abs(pivot) / pivot) / np.max(np.abs(col))
 
     cond = np.linalg.cond(vecs)
-    if not np.isfinite(cond) or cond > max_condition:
+    if not np.isfinite(cond) or cond > MAX_EIGENVECTOR_CONDITION:
         raise DefectiveMatrixError(
             f"linear part is defective or too close to defective "
-            f"(eigenvector condition {cond:.3e} > {max_condition:.3e})",
+            f"(eigenvector condition {cond:.3e} > {MAX_EIGENVECTOR_CONDITION:.3e})",
             condition=float(cond) if np.isfinite(cond) else math.inf,
         )
     vinv = np.linalg.inv(vecs)

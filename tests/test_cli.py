@@ -10,8 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import koopnf
+from koopnf import Spectrum, VectorPoly, multi_indices
 from koopnf.cli import (
     build_map,
     description_to_json,
@@ -159,6 +162,29 @@ def test_emit_parse_round_trip(tmp_path):
     assert orders == sorted(orders)
 
 
+@st.composite
+def _complex_maps(draw):
+    """A stable spectrum of dim 1-3 and a map with complex terms of order 2-4."""
+    dim = draw(st.integers(1, 3))
+    lam = st.complex_numbers(min_magnitude=0.01, max_magnitude=0.99,
+                             allow_nan=False, allow_infinity=False)
+    spec = Spectrum(tuple(draw(st.lists(lam, min_size=dim, max_size=dim))))
+    alphas = [a for d in range(2, 5) for a in multi_indices(dim, d)]
+    coeff = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+    term = st.tuples(st.integers(0, dim - 1), st.sampled_from(alphas), coeff)
+    nonlinear = VectorPoly.from_terms(dim, draw(st.lists(term, max_size=8)))
+    return spec.diagonal_map() + nonlinear, spec
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_complex_maps())
+def test_emit_parse_round_trip_property(tmp_path_factory, map_and_spec):
+    t_map, spec = map_and_spec
+    path = tmp_path_factory.mktemp("roundtrip") / "map.json"
+    path.write_text(description_to_json(emit_description(t_map, spec)), encoding="utf-8")
+    assert parse_map(str(path)) == (t_map, spec)
+
+
 # -- option parsers ---------------------------------------------------------------
 
 
@@ -170,6 +196,9 @@ def test_parse_radii():
         parse_radii("0.1:0.001")
     with pytest.raises(ValueError):
         parse_radii("0.1:0.001:1")
+    for bad in (",", "0.01,-0.01", "0.01,0", "0.1:-0.001:3"):
+        with pytest.raises(ValueError):
+            parse_radii(bad)
 
 
 def test_parse_alpha():
@@ -400,6 +429,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert "error" in err
     assert main(["resonance", _worked_1d(tmp_path), "--out", str(tmp_path / "no" / "x")]) == 1
     assert "koopnf: error:" in capsys.readouterr().err
+    # like the other sampling commands, invert rejects empty or non-positive radii and no samples
+    for sampling in (["--radii", "0.01", "--samples", "0"], ["--radii", ","],
+                     ["--radii", "0.01,-0.01"]):
+        assert main(["invert", _worked_1d(tmp_path), "-m", "2", *sampling]) == 1
+        assert "koopnf: error:" in capsys.readouterr().err
 
 
 def test_overflowing_map_exits_1(tmp_path, capsys):

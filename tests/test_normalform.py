@@ -401,10 +401,13 @@ def test_sequence_stage_access():
     assert seq.stage(4).m == 4
     with pytest.raises(ValueError):
         seq.stage(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^m must lie in 2\.\.4$"):
         seq.stage(5)
     phi2 = seq.phi(2)
     assert phi2.components[0].terms == {(1,): 1.0, (2,): -4.0}
+    # the factor is stored on its stage, not rebuilt per call
+    assert seq.phi(3) is seq.phi(3)
+    assert seq.phi(3) == VectorPoly.identity(spec.dim) + seq.stage(3).Q
 
 
 # -- conjugacy assembly ----------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopnf import (
     ScalarPoly,
@@ -16,7 +18,7 @@ from koopnf import (
     sup_norm_estimate,
 )
 
-from helpers import random_homogeneous, random_point, random_scalar
+from helpers import coeff_rel_err, random_homogeneous, random_point, random_scalar
 
 
 def test_canonical_storage_merges_and_drops():
@@ -95,6 +97,16 @@ def test_homogeneous_parts_sum_back():
     assert total == p
 
 
+def test_vector_homogeneous_degree():
+    x1, x2 = ScalarPoly.variable(2, 0), ScalarPoly.variable(2, 1)
+    assert VectorPoly((x1 * x2, x2 * x2)).homogeneous_degree() == 2
+    # a zero component has no terms, so it does not break homogeneity
+    assert VectorPoly((x1 * x1 * x2, ScalarPoly.zero(2))).homogeneous_degree() == 3
+    assert VectorPoly((x1 * x1, x2 * x2 * x2)).homogeneous_degree() is None
+    assert VectorPoly((x1 + x1 * x1, x2)).homogeneous_degree() is None
+    assert VectorPoly.zero(2).homogeneous_degree() is None
+
+
 def test_truncate():
     rng = np.random.default_rng(6)
     p = random_scalar(2, 5, rng)
@@ -137,6 +149,27 @@ def test_compose_matches_pointwise_when_untruncated():
         direct = outer.evaluate(inner.evaluate(z))
         got = comp.evaluate(z)
         assert abs(got - direct) <= 1e-10 * max(1.0, abs(direct))
+
+
+@st.composite
+def _origin_fixing_maps(draw, count):
+    """``count`` sparse maps of one dim (1-3) with terms of degree 1-3, and a D <= 5."""
+    dim = draw(st.integers(1, 3))
+    alphas = [a for d in range(1, 4) for a in multi_indices(dim, d)]
+    coeff = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    term = st.tuples(st.integers(0, dim - 1), st.sampled_from(alphas), coeff)
+    maps = [VectorPoly.from_terms(dim, draw(st.lists(term, max_size=3 * dim)))
+            for _ in range(count)]
+    return maps, draw(st.integers(1, 5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_origin_fixing_maps(3))
+def test_compose_is_associative_within_truncation(maps_and_degree):
+    (f, g, h), d = maps_and_degree
+    left = f.compose(g, d).compose(h, d)
+    right = f.compose(g.compose(h, d), d)
+    assert coeff_rel_err(left, right) <= 1e-12
 
 
 def test_compose_rejects_unsafe_truncation_with_constant_inner():
@@ -274,6 +307,8 @@ def test_sphere_points_shape_and_norm():
     np.testing.assert_array_equal(pts, again)
     other = sphere_points(3, 17, seed=5)
     assert not np.array_equal(pts, other)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        sphere_points(2, 0, seed=0)
 
 
 def test_sup_norm_estimate_scales():

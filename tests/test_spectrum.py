@@ -61,6 +61,11 @@ def test_mu_validation():
         mu(0, (2,), spec)
     with pytest.raises(ValueError):
         mu(0, (0, 0), spec)
+    # a negative exponent is not a monomial, even where the order is >= 1
+    with pytest.raises(ValueError):
+        mu(0, (-1, 3), spec)
+    with pytest.raises(ValueError):
+        spec.power((-1, 3))
 
 
 def test_check_resonance_worked_example():
