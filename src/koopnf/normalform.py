@@ -134,9 +134,12 @@ def series_inverse(phi: VectorPoly, max_degree: int) -> VectorPoly:
     """Compositional inverse of a near-identity map in the truncated algebra.
 
     ``phi`` must fix the origin and have identity linear part.  Writing
-    phi = I + Q with Q of lowest degree >= 2, the inverse is the fixed point
-    of psi -> I - Q o psi, which stabilizes after at most max_degree
-    iterations because each pass fixes one more degree.
+    phi = I + Q with Q of lowest degree low >= 2, the inverse is the fixed
+    point of psi -> I - Q o psi started from psi_0 = I.  The degree-d part
+    of Q o psi depends only on the parts of psi of degree <= d - low + 1, so
+    psi_k is exact through degree (k + 1)(low - 1), and after
+    K = max(1, ceil(D / (low - 1)) - 1) passes psi_K is the fixed point, bit
+    for bit.  Exactly K composes are run; a zero Q returns the identity.
     """
     n = phi.dim
     if any(c != 0 for c in phi.constant_vector()):
@@ -148,12 +151,11 @@ def series_inverse(phi: VectorPoly, max_degree: int) -> VectorPoly:
         raise ValueError("map must have identity linear part")
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
+    if low is None:
+        return ident
     psi = ident
-    for _ in range(max_degree):
-        nxt = ident - q.compose(psi, max_degree)
-        if nxt == psi:
-            break
-        psi = nxt
+    for _ in range(max(1, -(-max_degree // (low - 1)) - 1)):
+        psi = ident - q.compose(psi, max_degree)
     return psi
 
 

@@ -10,6 +10,7 @@ with pulled-back polynomials of growing degree.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Sequence
@@ -134,8 +135,10 @@ def density_demo(
     condition exceeds ``condition_limit`` are flagged but still reported.
 
     The box must sit inside the region where the factor inversions converge.
-    Otherwise every grid point is still tried, and one ValueError reports
-    how many failed and the first that did.
+    Grid points outside the certified radius ``seq.min_epsilon(m)`` are
+    counted up front and reported in one RuntimeWarning; they are still
+    tried.  If any inversion fails, one ValueError reports how many failed
+    and the first that did.
     """
     n = seq.spec.dim
     if n > DENSITY_MAX_DIM:
@@ -153,6 +156,15 @@ def density_demo(
 
     axes = [np.linspace(lo, hi, grid_points) for lo, hi in box]
     grid = [np.array(pt, dtype=float) for pt in product(*axes)]
+    eps = seq.min_epsilon(m)
+    outside = int(np.count_nonzero(np.max(np.abs(grid), axis=1) > eps))
+    if outside:
+        warnings.warn(
+            f"{outside} of {len(grid)} grid points lie outside the inversion radius "
+            f"epsilon {eps:g}; their inversions may fail",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
     pulled = []
     failures = []

@@ -14,6 +14,7 @@ the package use the max of coordinate moduli; see ``linf``.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -46,8 +47,18 @@ def multi_indices(dim: int, order: int) -> Iterable[MultiIndex]:
 
 
 def _validate_alpha(alpha: Sequence[int], dim: int, min_order: int = 0) -> MultiIndex:
-    """``alpha`` as ``dim`` nonnegative exponents of total order >= ``min_order``."""
-    tup = tuple(int(a) for a in alpha)
+    """``alpha`` as ``dim`` nonnegative exponents of total order >= ``min_order``.
+
+    Entries must be integers (numpy integers included); floats and bools
+    are rejected rather than truncated or read as 0/1.
+    """
+    raw = tuple(alpha)
+    try:
+        tup = tuple(map(operator.index, raw))
+    except TypeError:
+        tup = None
+    if tup is None or bool in map(type, raw):
+        raise ValueError(f"exponent tuple {raw!r} has a non-integer entry")
     if len(tup) != dim:
         raise ValueError(f"exponent tuple {tup} has length {len(tup)}, expected {dim}")
     if any(a < 0 for a in tup):
@@ -79,10 +90,25 @@ class ScalarPoly:
                 acc[key] += c
             else:
                 acc[key] = c
+        self._set_canonical(acc)
+
+    @classmethod
+    def _trusted(cls, dim: int, acc: dict[MultiIndex, complex]) -> "ScalarPoly":
+        """Canonical polynomial from terms the package itself produced.
+
+        Keys must already be valid exponent tuples and values Python
+        complex numbers, so neither is checked or converted again.
+        """
+        poly = cls.__new__(cls)
+        poly._dim = dim
+        poly._set_canonical(acc)
+        return poly
+
+    def _set_canonical(self, acc: dict[MultiIndex, complex]) -> None:
         self._terms: dict[MultiIndex, complex] = {
             a: acc[a] for a in sorted(acc, key=grlex_key) if acc[a] != 0
         }
-        self._degree = max((sum(a) for a in self._terms), default=0)
+        self._degree = sum(next(reversed(self._terms))) if self._terms else 0
 
     # -- constructors -------------------------------------------------
 
@@ -162,7 +188,7 @@ class ScalarPoly:
             acc = dict(self._terms)
             for a, c in other._terms.items():
                 acc[a] = acc.get(a, 0j) + c
-            return ScalarPoly(self._dim, acc)
+            return ScalarPoly._trusted(self._dim, acc)
         if isinstance(other, (int, float, complex)):
             return self + ScalarPoly.constant(self._dim, other)
         return NotImplemented
@@ -170,7 +196,7 @@ class ScalarPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarPoly(self._dim, {a: -c for a, c in self._terms.items()})
+        return ScalarPoly._trusted(self._dim, {a: -c for a, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -184,7 +210,10 @@ class ScalarPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return ScalarPoly(self._dim, {a: c * other for a, c in self._terms.items()})
+            # complex() keeps numpy scalar factors out of the stored values
+            return ScalarPoly._trusted(
+                self._dim, {a: complex(c * other) for a, c in self._terms.items()}
+            )
         if isinstance(other, ScalarPoly):
             self._require_same_dim(other)
             acc: dict[MultiIndex, complex] = {}
@@ -196,6 +225,27 @@ class ScalarPoly:
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def _mul_truncated(self, other: "ScalarPoly", max_degree: int) -> "ScalarPoly":
+        """``(self * other).truncate(max_degree)`` without forming the dropped pairs.
+
+        Both term dicts are in grlex order, so degrees never decrease along
+        them and each loop stops at the first term that would exceed
+        ``max_degree``.  The kept pairs are visited in the order ``__mul__``
+        visits them, so every kept coefficient gets the same bits.
+        """
+        right = [(b, cb, sum(b)) for b, cb in other._terms.items()]
+        acc: dict[MultiIndex, complex] = {}
+        for a, ca in self._terms.items():
+            room = max_degree - sum(a)
+            if room < 0:
+                break
+            for b, cb, db in right:
+                if db > room:
+                    break
+                key = tuple(map(operator.add, a, b))
+                acc[key] = acc.get(key, 0j) + ca * cb
+        return ScalarPoly._trusted(self._dim, acc)
 
     def __eq__(self, other):
         if not isinstance(other, ScalarPoly):
@@ -226,13 +276,17 @@ class ScalarPoly:
         """The sum of stored terms with total degree exactly ``k``."""
         if k < 0:
             raise ValueError("degree must be >= 0")
-        return ScalarPoly(self._dim, {a: c for a, c in self._terms.items() if sum(a) == k})
+        return ScalarPoly._trusted(
+            self._dim, {a: c for a, c in self._terms.items() if sum(a) == k}
+        )
 
     def truncate(self, max_degree: int) -> "ScalarPoly":
         """Drop all terms of total degree greater than ``max_degree``."""
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        return ScalarPoly(self._dim, {a: c for a, c in self._terms.items() if sum(a) <= max_degree})
+        return ScalarPoly._trusted(
+            self._dim, {a: c for a, c in self._terms.items() if sum(a) <= max_degree}
+        )
 
     def compose(self, inner: "VectorPoly", max_degree: int) -> "ScalarPoly":
         """Substitute ``inner`` into this polynomial, truncated to ``max_degree``.
@@ -253,16 +307,25 @@ class ScalarPoly:
 
     def _compose_unchecked(self, inner: "VectorPoly", max_degree: int,
                            cache: "_PowerCache") -> "ScalarPoly":
-        result = ScalarPoly.zero(inner.dim)
+        """The composition without its checks; ``cache`` holds powers of ``inner``.
+
+        Each term c x^alpha becomes the truncated product c p_1^a_1 p_2^a_2 ...
+        of cached powers, and the term products are summed into one dict in
+        term order.  A running sum that starts from 0j never holds -0.0, so an
+        exact cancellation leaves 0j, the value a chain of ``+`` (which drops
+        the zero) would restart from; the bits match that chain.
+        """
+        acc: dict[MultiIndex, complex] = {}
         for alpha, c in self._terms.items():
-            prod = ScalarPoly.constant(inner.dim, c)
+            prod = ScalarPoly._trusted(inner.dim, {(0,) * inner.dim: c})
             for i, a in enumerate(alpha):
                 if a:
-                    prod = (prod * cache.power(i, a)).truncate(max_degree)
+                    prod = prod._mul_truncated(cache.power(i, a), max_degree)
                     if prod.is_zero():
                         break
-            result = result + prod
-        return result
+            for key, value in prod._terms.items():
+                acc[key] = acc.get(key, 0j) + value
+        return ScalarPoly._trusted(inner.dim, acc)
 
     # -- display ---------------------------------------------------------
 
@@ -304,7 +367,9 @@ class _PowerCache:
                 self._powers[key] = self._inner.components[index].truncate(self._max_degree)
             else:
                 prev = self.power(index, exponent - 1)
-                self._powers[key] = (prev * self._inner.components[index]).truncate(self._max_degree)
+                self._powers[key] = prev._mul_truncated(
+                    self._inner.components[index], self._max_degree
+                )
         return self._powers[key]
 
 

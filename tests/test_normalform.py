@@ -172,6 +172,26 @@ def test_homological_identity_random():
         assert coeff_rel_err(lie_apply(q, spec), r_hat) <= 1e-12
 
 
+@st.composite
+def _nonresonant_rhs(draw):
+    """A random homogeneous right-hand side and a spectrum with |mu| >= 1e-2."""
+    dim = draw(st.integers(1, 3))
+    degree = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    spec = draw_nonresonant_spectrum(dim, rng, degree)
+    coeff = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    term = st.tuples(st.integers(0, dim - 1),
+                     st.sampled_from(list(multi_indices(dim, degree))), coeff)
+    return VectorPoly.from_terms(dim, draw(st.lists(term, max_size=3 * dim))), spec
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_nonresonant_rhs())
+def test_lie_apply_inverts_lie_solve(rhs_and_spec):
+    r_hat, spec = rhs_and_spec
+    assert coeff_rel_err(lie_apply(lie_solve(r_hat, spec), spec), r_hat) <= 1e-12
+
+
 # -- series reversion ----------------------------------------------------------
 
 
@@ -203,6 +223,50 @@ def test_series_inverse_random_two_sided():
         scale = max(1.0, q.max_abs_coeff())
         assert (left - ident).max_abs_coeff() <= 1e-12 * scale ** 5
         assert (right - ident).max_abs_coeff() <= 1e-12 * scale ** 5
+
+
+def _series_inverse_until_repeat(phi, max_degree):
+    """Reference: iterate psi -> I - Q o psi until a pass returns psi unchanged."""
+    ident = VectorPoly.identity(phi.dim)
+    q = phi - ident
+    psi = ident
+    for _ in range(max_degree):
+        nxt = ident - q.compose(psi, max_degree)
+        if nxt == psi:
+            break
+        psi = nxt
+    return psi
+
+
+@st.composite
+def _near_identity_and_degree(draw):
+    """phi = I + Q with Q of lowest degree 2-4 plus higher terms, and a D."""
+    dim = draw(st.integers(1, 3))
+    low = draw(st.integers(2, 4))
+    max_degree = draw(st.integers(1, 7 if dim < 3 else 5))
+    coeff = st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0,
+                               allow_nan=False, allow_infinity=False)
+    lowest = st.tuples(st.integers(0, dim - 1), st.sampled_from(list(multi_indices(dim, low))),
+                       coeff)
+    higher = [a for d in range(low + 1, low + 4) for a in multi_indices(dim, d)]
+    term = st.tuples(st.integers(0, dim - 1), st.sampled_from(higher), coeff)
+    terms = [draw(lowest)] + draw(st.lists(term, max_size=2 * dim))
+    q = VectorPoly.from_terms(dim, terms)
+    return VectorPoly.identity(dim) + q, max_degree
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_near_identity_and_degree())
+def test_series_inverse_pass_bound_matches_fixed_point(phi_and_degree):
+    phi, d = phi_and_degree
+    psi = series_inverse(phi, d)
+    expected = _series_inverse_until_repeat(phi, d)
+    for got, want in zip(psi.components, expected.components):
+        assert repr(list(got.terms.items())) == repr(list(want.terms.items()))
+    ident = VectorPoly.identity(phi.dim)
+    scale = max(1.0, (phi - ident).max_abs_coeff())
+    assert (psi.compose(phi, d) - ident).max_abs_coeff() <= 1e-12 * scale ** d
+    assert (phi.compose(psi, d) - ident).max_abs_coeff() <= 1e-12 * scale ** d
 
 
 def test_series_inverse_validation():

@@ -1,6 +1,7 @@
 """Pullback observables, conjugation in the algebra, density demo."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,19 @@ def test_density_demo_box_outside_domain_fails_clearly():
     with pytest.raises(ValueError, match=r"24 of 41 grid points, first at \[0\.07") as info:
         density_demo(lambda pt: 1.0, 3, seq, 2, [(-0.1, 0.3)])
     assert "shrink the box" in str(info.value)
+
+
+def test_density_demo_warns_when_box_leaves_the_radius():
+    # the gentle map's stage-2 radius is 0.625; the four grid points below it
+    # still invert, so the fit completes after the warning
+    _, _, seq = _gentle_seq()
+    with pytest.warns(RuntimeWarning, match=r"^4 of 41 grid points lie outside the "
+                                            r"inversion radius epsilon 0\.625;"):
+        table = density_demo(lambda pt: 1.0, 2, seq, 2, [(-0.7, 0.1)])
+    assert [row.degree for row in table.rows] == [0, 1, 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        density_demo(lambda pt: 1.0, 2, seq, 2, [(-0.2, 0.2)])
 
 
 def test_density_demo_rejects_order_above_degree():

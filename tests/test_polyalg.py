@@ -45,6 +45,24 @@ def test_invalid_exponents_rejected():
         ScalarPoly(0, {})
 
 
+@pytest.mark.parametrize("bad", [(1.5, 0), (1.0, 0), (True, 1), (1, False),
+                                 (np.float64(2.0), 0), (np.bool_(True), 0), ("1", 0)])
+def test_non_integer_exponents_rejected(bad):
+    with pytest.raises(ValueError, match="non-integer entry"):
+        ScalarPoly(2, {bad: 1.0})
+    with pytest.raises(ValueError, match="non-integer entry"):
+        VectorPoly.from_terms(2, [(0, bad, 1.0)])
+    with pytest.raises(ValueError, match="non-integer entry"):
+        ScalarPoly.monomial(2, (1, 1)).coefficient(bad)
+
+
+def test_numpy_integer_exponents_accepted():
+    p = ScalarPoly(2, {(np.int64(1), np.int32(2)): 1.0})
+    assert p.terms == {(1, 2): 1.0}
+    assert all(type(a) is int for a in next(iter(p.terms)))
+    assert p.coefficient(np.array([1, 2])) == 1.0
+
+
 def test_constructors_and_eval():
     x0 = ScalarPoly.variable(2, 0)
     x1 = ScalarPoly.variable(2, 1)
@@ -170,6 +188,52 @@ def test_compose_is_associative_within_truncation(maps_and_degree):
     left = f.compose(g, d).compose(h, d)
     right = f.compose(g.compose(h, d), d)
     assert coeff_rel_err(left, right) <= 1e-12
+
+
+@st.composite
+def _scalar_pair_and_degree(draw):
+    """Two sparse polynomials of one dim (1-3) with terms of degree 0-4, and a D <= 6."""
+    dim = draw(st.integers(1, 3))
+    alphas = [a for d in range(5) for a in multi_indices(dim, d)]
+    # small exact values make exact cancellations in the sums likely
+    coeff = st.sampled_from([1.0, -1.0, 0.5, 1j, -0.5j]) | st.complex_numbers(
+        max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    poly = st.dictionaries(st.sampled_from(alphas), coeff, max_size=8)
+    return ScalarPoly(dim, draw(poly)), ScalarPoly(dim, draw(poly)), draw(st.integers(0, 6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_scalar_pair_and_degree())
+def test_mul_truncated_equals_truncated_product(pair_and_degree):
+    p, q, d = pair_and_degree
+    got = p._mul_truncated(q, d)
+    # repr tells signed zeros apart, so this checks every bit and the key order
+    assert repr(list(got.terms.items())) == repr(list((p * q).truncate(d).terms.items()))
+    assert got.degree == (p * q).truncate(d).degree
+
+
+def _compose_by_public_ops(outer, inner, d):
+    """Reference: each term's product of truncated powers, summed with ``+``."""
+    result = ScalarPoly.zero(inner.dim)
+    for alpha, c in outer.terms.items():
+        prod = ScalarPoly.constant(inner.dim, c)
+        for p, a in zip(inner.components, alpha):
+            if a:
+                power = p.truncate(d)
+                for _ in range(a - 1):
+                    power = (power * p).truncate(d)
+                prod = (prod * power).truncate(d)
+        result = result + prod
+    return result
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_origin_fixing_maps(2))
+def test_compose_matches_public_ops_bit_for_bit(maps_and_degree):
+    (f, g), d = maps_and_degree
+    for got, comp in zip(f.compose(g, d).components, f.components):
+        want = _compose_by_public_ops(comp, g, d)
+        assert repr(list(got.terms.items())) == repr(list(want.terms.items()))
 
 
 def test_compose_rejects_unsafe_truncation_with_constant_inner():

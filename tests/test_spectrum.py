@@ -64,6 +64,12 @@ def test_mu_validation():
     # a negative exponent is not a monomial, even where the order is >= 1
     with pytest.raises(ValueError):
         mu(0, (-1, 3), spec)
+    # nor are fractional or boolean exponents, which used to be read as ints
+    with pytest.raises(ValueError, match="non-integer entry"):
+        mu(0, (1.5, 0.5), spec)
+    with pytest.raises(ValueError, match="non-integer entry"):
+        mu(0, (True, True), spec)
+    assert mu(0, (np.int64(2), np.int64(0)), spec) == mu(0, (2, 0), spec)
     with pytest.raises(ValueError):
         spec.power((-1, 3))
 
