@@ -49,16 +49,20 @@ from .normalform import (
 )
 from .numerics import (
     DomainReport,
+    PointFailure,
     ResidualStudy,
     SlopeFit,
     domain_check,
     eval_approx_eigenfunction,
     fit_loglog_slope,
     inverse_asymptotics_study,
+    invert_phi_many,
     invert_phi_pointwise,
     orbit_domain_check,
     residual_study,
+    tau_forward_many,
     tau_forward_pointwise,
+    tau_inverse_many,
     tau_inverse_pointwise,
 )
 from .observables import (
@@ -112,16 +116,20 @@ __all__ = [
     "series_inverse",
     "tau",
     "DomainReport",
+    "PointFailure",
     "ResidualStudy",
     "SlopeFit",
     "domain_check",
     "eval_approx_eigenfunction",
     "fit_loglog_slope",
     "inverse_asymptotics_study",
+    "invert_phi_many",
     "invert_phi_pointwise",
     "orbit_domain_check",
     "residual_study",
+    "tau_forward_many",
     "tau_forward_pointwise",
+    "tau_inverse_many",
     "tau_inverse_pointwise",
     "DensityRow",
     "DensityTable",

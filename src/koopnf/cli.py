@@ -41,13 +41,14 @@ from .normalform import DEFAULT_BETA, run
 from .numerics import (
     DEFAULT_MAX_ITER,
     DEFAULT_POINT_TOL,
+    _sphere_rows,
     inverse_asymptotics_study,
     residual_study,
-    tau_forward_pointwise,
-    tau_inverse_pointwise,
+    tau_forward_many,
+    tau_inverse_many,
 )
 from .observables import DEFAULT_GRID_POINTS, density_demo
-from .polyalg import VectorPoly, grlex_key, linf, sphere_points
+from .polyalg import VectorPoly, grlex_key, sphere_points
 from .spectrum import (
     DEFAULT_NEAR_RESONANCE_TOL,
     DEFAULT_RESONANCE_TOL,
@@ -405,31 +406,29 @@ def _cmd_normalform(args):
 def _cmd_invert(args):
     _, spec, seq = _pipeline(args)
     radii = parse_radii(args.radii)
-    dirs = sphere_points(spec.dim, args.samples, args.seed)
+    xs = _sphere_rows(sphere_points(spec.dim, args.samples, args.seed), radii)
+    zs, failures = tau_inverse_many(seq, args.m, xs, args.tol, args.max_iter)
+    back, overflowed = tau_forward_many(seq, args.m, zs)
+    errors = np.abs(back - xs).max(axis=1).tolist()
     points = []
     rows = []
-    for r in radii:
-        for s in range(args.samples):
-            x = r * dirs[s]
-            try:
-                z = tau_inverse_pointwise(seq, args.m, x, args.tol, args.max_iter)
-                err = linf(tau_forward_pointwise(seq, args.m, z) - x)
-            except ConvergenceError:
-                z = err = None
-            ok = z is not None
-            points.append(
-                {
-                    "radius": r,
-                    "sample": s,
-                    "x": [_pair(v) for v in x],
-                    "z": [_pair(v) for v in z] if ok else None,
-                    "roundtrip_error": err,
-                    "converged": ok,
-                }
-            )
-            for comp in range(spec.dim):
-                solved = [z[comp].real, z[comp].imag, err] if ok else ["", "", ""]
-                rows.append([r, s, comp + 1, x[comp].real, x[comp].imag, *solved, int(ok)])
+    for k, x in enumerate(xs):
+        r, s = radii[k // args.samples], k % args.samples
+        ok = k not in failures and not overflowed[k]
+        z, err = (zs[k], errors[k]) if ok else (None, None)
+        points.append(
+            {
+                "radius": r,
+                "sample": s,
+                "x": [_pair(v) for v in x],
+                "z": [_pair(v) for v in z] if ok else None,
+                "roundtrip_error": err,
+                "converged": ok,
+            }
+        )
+        for comp in range(spec.dim):
+            solved = [z[comp].real, z[comp].imag, err] if ok else ["", "", ""]
+            rows.append([r, s, comp + 1, x[comp].real, x[comp].imag, *solved, int(ok)])
     header = ["radius", "sample", "component", "x_re", "x_im", "z_re", "z_im",
               "roundtrip_error", "converged"]
     return {"m": args.m, "points": points}, header, rows, 0

@@ -19,7 +19,17 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .normalform import NormalFormSequence
-from .polyalg import MultiIndex, VectorPoly, _validate_alpha, linf, monomial_value, sphere_points
+from .polyalg import (
+    MultiIndex,
+    VectorPoly,
+    _as_rows,
+    _cmul,
+    _monomial_rows,
+    _validate_alpha,
+    linf,
+    monomial_value,
+    sphere_points,
+)
 
 DEFAULT_POINT_TOL = 1e-13
 DEFAULT_MAX_ITER = 200
@@ -126,6 +136,143 @@ def tau_inverse_pointwise(
     return w
 
 
+class PointFailure(NamedTuple):
+    """One failed row of a batched inversion: what ConvergenceError would carry.
+
+    ``stage`` is the factor whose inversion failed, or None for a single
+    factor inverted by ``invert_phi_many``.
+    """
+
+    reason: str
+    iterations: int
+    last_ratio: float | None
+    stage: int | None = None
+
+    def error(self) -> ConvergenceError:
+        """The ConvergenceError the single-point function raises for this row."""
+        reason = self.reason
+        if self.stage is not None:
+            reason = f"stage-{self.stage} factor inversion failed: {reason}"
+        return ConvergenceError(reason, self.iterations, self.last_ratio)
+
+
+def invert_phi_many(
+    q: VectorPoly,
+    ys,
+    tol: float = DEFAULT_POINT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> tuple[np.ndarray, dict[int, PointFailure]]:
+    """``invert_phi_pointwise`` for every row of ``ys`` (shape (N, n)) at once.
+
+    Each row runs the single-point iteration with the same arithmetic (see
+    ``VectorPoly.evaluate_many``), until it converges or fails; the rows
+    still running form the active set of the next iteration.  Returns
+    ``(xs, failures)``: ``xs`` holds every converged row with the bits the
+    single-point function returns, and ``failures`` maps the index of every
+    other row, in increasing order, to the reason, iteration count and last
+    contraction ratio its ConvergenceError would carry.  Failed rows of
+    ``xs`` are NaN.
+
+    A row whose iterate has a coordinate power with an infinite part is
+    reported as "iterate overflow", where the single-point function catches
+    CPython's OverflowError.  numpy's floating-point warnings are off
+    inside, so diverging rows print nothing.
+    """
+    ys = _as_rows(ys, q.dim)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    xs = np.full(ys.shape, np.nan, dtype=complex)
+    failures: dict[int, PointFailure] = {}
+    rows = np.arange(len(ys))
+    y = ys
+    x = np.zeros_like(ys)
+    prev_diff = np.zeros(len(ys))  # 0 stands for "no previous step": no ratio is taken
+    ratio = np.zeros(len(ys))
+    has_ratio = np.zeros(len(ys), dtype=bool)
+
+    def fail(reason, mask, iterations):
+        for r in np.flatnonzero(mask):
+            last = float(ratio[r]) if has_ratio[r] else None
+            failures[int(rows[r])] = PointFailure(reason, iterations, last)
+
+    with np.errstate(all="ignore"):
+        for iteration in range(1, max_iter + 1):
+            if not len(rows):
+                break
+            qx, overflowed = q._evaluate_rows(x)
+            x_new = y - qx
+            nonfinite = ~overflowed & ~np.isfinite(x_new).all(axis=1)
+            fail("fixed-point inversion diverged (iterate overflow)", overflowed, iteration)
+            fail("fixed-point inversion diverged (non-finite iterate)", nonfinite, iteration)
+            diff = np.abs(x_new - x).max(axis=1)
+            stepped = prev_diff > 0
+            ratio = np.where(stepped, diff / prev_diff, ratio)
+            has_ratio |= stepped
+            converged = np.zeros(len(rows), dtype=bool)
+            close = np.flatnonzero(diff <= tol)
+            if len(close):
+                x_close = x_new[close]
+                q_close, _ = q._evaluate_rows(x_close)
+                converged[close] = np.abs(x_close + q_close - y[close]).max(axis=1) <= tol
+            xs[rows[converged]] = x_new[converged]
+            keep = ~(converged | overflowed | nonfinite)
+            rows, y, x = rows[keep], y[keep], x_new[keep]
+            prev_diff, ratio, has_ratio = diff[keep], ratio[keep], has_ratio[keep]
+    fail(f"fixed-point inversion did not reach tol={tol:g}", np.ones(len(rows), bool), max_iter)
+    return xs, dict(sorted(failures.items()))
+
+
+def tau_inverse_many(
+    seq: NormalFormSequence,
+    m: int,
+    xs,
+    tol: float = DEFAULT_POINT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> tuple[np.ndarray, dict[int, PointFailure]]:
+    """``tau_inverse_pointwise`` for every row of ``xs`` (shape (N, n)) at once.
+
+    Returns ``(zs, failures)`` as ``invert_phi_many`` does; each failure
+    names the stage whose inversion failed, and a row that fails at one
+    stage is not passed to the next.
+    """
+    seq.check_order(m)
+    w = _as_rows(xs, seq.spec.dim)
+    zs = np.full(w.shape, np.nan, dtype=complex)
+    rows = np.arange(len(w))
+    failures: dict[int, PointFailure] = {}
+    for k in range(2, m + 1):
+        w, failed = invert_phi_many(seq.stage(k).Q, w, tol, max_iter)
+        for r, failure in failed.items():
+            failures[int(rows[r])] = failure._replace(stage=k)
+        keep = np.ones(len(w), dtype=bool)
+        keep[list(failed)] = False
+        rows, w = rows[keep], w[keep]
+    zs[rows] = w
+    return zs, dict(sorted(failures.items()))
+
+
+def tau_forward_many(seq: NormalFormSequence, m: int, zs) -> tuple[np.ndarray, np.ndarray]:
+    """``tau_forward_pointwise`` for every row of ``zs`` (shape (N, n)) at once.
+
+    Returns ``(xs, overflowed)``: ``overflowed`` marks the rows where a
+    stage factor's evaluation overflows, where the single-point function
+    raises OverflowError; those rows of ``xs`` are NaN.
+    """
+    seq.check_order(m)
+    w = _as_rows(zs, seq.spec.dim)
+    overflowed = np.zeros(len(w), dtype=bool)
+    for k in range(m, 1, -1):
+        w, over = seq.phi(k)._evaluate_rows(w)
+        overflowed |= over
+    w[overflowed] = np.nan
+    return w, overflowed
+
+
+def _sphere_rows(dirs: np.ndarray, radii: Sequence[float]) -> np.ndarray:
+    """The points r * dirs[s], radius-major, each formed as a single point is."""
+    return np.array([r * d for r in radii for d in dirs])
+
+
 def eval_approx_eigenfunction(
     alpha: Sequence[int],
     seq: NormalFormSequence,
@@ -187,8 +334,9 @@ class ResidualStudy:
     """Empirical decay of the eigenfunction-equation residual.
 
     ``records`` maps (radius, sample index) to the residual magnitude at
-    that sample; samples whose factor inversions failed are skipped and
-    counted in ``skipped``.  The slope is fit on the per-radius maxima.
+    that sample; samples whose factor inversions failed, or whose forward
+    map or monomials overflow, are skipped and counted in ``skipped``.  The
+    slope is fit on the per-radius maxima.
     """
 
     m: int
@@ -228,7 +376,9 @@ def residual_study(
     genuinely surviving high-order terms whose decay rate is being studied.
 
     The same ``samples`` directions (seeded) are reused at every radius and
-    the per-radius maxima feed an ordinary least-squares log-log fit.
+    the per-radius maxima feed an ordinary least-squares log-log fit.  All
+    samples are evaluated and inverted at once, with the bits of the
+    single-point functions (see ``invert_phi_many``).
     """
     if t_map != seq.T_input:
         raise ValueError("map is not the input the sequence was built from")
@@ -246,23 +396,25 @@ def residual_study(
         )
 
     mu_val = seq.spec.power(alpha)
+    xs, forward_overflowed = tau_forward_many(seq, m, _sphere_rows(dirs, radii))
+    z_back, back_failed = tau_inverse_many(seq, m, xs, tol, max_iter)
+    x_next, next_overflowed = t_map._evaluate_rows(xs)
+    z_next, next_failed = tau_inverse_many(seq, m, x_next, tol, max_iter)
+    back_mono, back_overflowed = _monomial_rows(z_back, [alpha])
+    next_mono, mono_overflowed = _monomial_rows(z_next, [alpha])
+    with np.errstate(all="ignore"):
+        scaled_re, scaled_im = _cmul(mu_val.real, mu_val.imag,
+                                     back_mono.real[:, 0], back_mono.imag[:, 0])
+        diff_re = (next_mono.real[:, 0] - scaled_re).tolist()
+        diff_im = (next_mono.imag[:, 0] - scaled_im).tolist()
+    # A sample is skipped where an inversion fails or, on huge radii, a power overflows.
+    skip = forward_overflowed | next_overflowed | back_overflowed | mono_overflowed
+    skip[list(back_failed) + list(next_failed)] = True
     records: dict[tuple[float, int], float] = {}
-    skipped = 0
-    for r in radii:
-        for s in range(samples):
-            z = r * dirs[s]
-            x = tau_forward_pointwise(seq, m, z)
-            try:
-                z_back = tau_inverse_pointwise(seq, m, x, tol, max_iter)
-                x_next = t_map.evaluate(x)
-                z_next = tau_inverse_pointwise(seq, m, x_next, tol, max_iter)
-            except ConvergenceError:
-                skipped += 1
-                continue
-            residual = abs(
-                monomial_value(z_next, alpha) - mu_val * monomial_value(z_back, alpha)
-            )
-            records[(r, s)] = residual
+    for k, r in enumerate(np.repeat(radii, samples).tolist()):
+        if not skip[k]:
+            records[(r, k % samples)] = abs(complex(diff_re[k], diff_im[k]))
+    skipped = int(np.count_nonzero(skip))
 
     # The fit is filled in below, from the maxima the study itself reports.
     study = ResidualStudy(
@@ -316,14 +468,15 @@ def inverse_asymptotics_study(
     fitted slope should approach 2m - 1.
     """
     radii = _check_radii(radii)
-    dirs = sphere_points(q.dim, samples, seed)
+    ys = _sphere_rows(sphere_points(q.dim, samples, seed), radii)
+    xs, failures = invert_phi_many(q, ys, tol, max_iter)
+    if failures:
+        raise next(iter(failures.values())).error()
+    errors = np.abs(xs - (ys - q.evaluate_many(ys))).max(axis=1).tolist()
     max_errors: dict[float, float] = {}
-    for r in radii:
+    for j, r in enumerate(radii):
         worst = 0.0
-        for s in range(samples):
-            y = r * dirs[s]
-            x = invert_phi_pointwise(q, y, tol, max_iter)
-            err = linf(x - (y - q.evaluate(y)))
+        for err in errors[j * samples:(j + 1) * samples]:
             worst = max(worst, err)
         max_errors[r] = worst
     floor = tol

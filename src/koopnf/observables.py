@@ -17,10 +17,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .normalform import NormalFormSequence
-from .numerics import DEFAULT_MAX_ITER, DEFAULT_POINT_TOL, tau_inverse_pointwise
-from .polyalg import MultiIndex, ScalarPoly, grlex_key, monomial_value, multi_indices
+from .numerics import DEFAULT_MAX_ITER, DEFAULT_POINT_TOL, tau_inverse_many, tau_inverse_pointwise
+from .polyalg import MultiIndex, ScalarPoly, _monomial_rows, grlex_key, multi_indices
 
 DENSITY_MAX_DIM = 2
 DEFAULT_GRID_POINTS = 41
@@ -166,18 +165,13 @@ def density_demo(
             stacklevel=2,
         )
 
-    pulled = []
-    failures = []
-    for pt in grid:
-        try:
-            pulled.append(tau_inverse_pointwise(seq, m, pt.astype(complex), tol, max_iter))
-        except ConvergenceError as exc:
-            failures.append((pt, exc))
+    pulled, failures = tau_inverse_many(seq, m, np.array(grid).astype(complex), tol, max_iter)
     if failures:
-        pt, exc = failures[0]
+        first, failure = next(iter(failures.items()))
+        exc = failure.error()
         raise ValueError(
             f"generator evaluation failed at {len(failures)} of {len(grid)} grid points, "
-            f"first at {pt.tolist()}: {exc}; shrink the box toward the fixed point"
+            f"first at {grid[first].tolist()}: {exc}; shrink the box toward the fixed point"
         ) from exc
     targets = np.array([complex(target(pt)) for pt in grid])
 
@@ -186,9 +180,7 @@ def density_demo(
     for order in range(min_degree, max_degree + 1):
         betas.extend(multi_indices(n, order))
     betas.sort(key=grlex_key)
-    columns = np.empty((len(grid), len(betas)), dtype=complex)
-    for col, beta in enumerate(betas):
-        columns[:, col] = [monomial_value(z, beta) for z in pulled]
+    columns, _ = _monomial_rows(pulled, betas)
 
     rows: list[DensityRow] = []
     violations = 0

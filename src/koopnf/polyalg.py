@@ -272,6 +272,22 @@ class ScalarPoly:
             total += val
         return total
 
+    def _evaluate_rows(self, powers: "_RowPowers") -> tuple:
+        """``evaluate`` at every row of ``powers``, as (real, imag) float arrays.
+
+        Each term is ``c`` times its coordinate powers in coordinate order,
+        and the terms are summed from 0j in grlex order: the operations of
+        ``evaluate``, on whole columns.
+        """
+        total = (0.0, 0.0)
+        for alpha, c in self._terms.items():
+            val = (c.real, c.imag)
+            for i, a in enumerate(alpha):
+                if a:
+                    val = _cmul(*val, *powers.power(i, a))
+            total = (total[0] + val[0], total[1] + val[1])
+        return total
+
     def homogeneous_part(self, k: int) -> "ScalarPoly":
         """The sum of stored terms with total degree exactly ``k``."""
         if k < 0:
@@ -443,7 +459,7 @@ class VectorPoly:
                 raise ValueError(f"component index {comp} out of range for dim {dim}")
             key = _validate_alpha(alpha, dim)
             buckets[comp][key] = buckets[comp].get(key, 0j) + complex(coeff)
-        return cls([ScalarPoly(dim, b) for b in buckets])
+        return cls([ScalarPoly._trusted(dim, b) for b in buckets])
 
     # -- queries ---------------------------------------------------------
 
@@ -523,6 +539,46 @@ class VectorPoly:
     def evaluate(self, x: Sequence[complex]) -> np.ndarray:
         return np.array([c.evaluate(x) for c in self._components])
 
+    def evaluate_many(self, points) -> np.ndarray:
+        """``evaluate`` at every row of ``points`` (shape (N, n)) at once.
+
+        Row k of the result has the bits of ``evaluate(points[k])``.  The
+        loops run over terms and the arithmetic runs over whole columns of
+        float64 parts, with the operations CPython performs for one point:
+
+        * every complex product is ``(ar*br - ai*bi, ar*bi + ai*br)``, one
+          ufunc per operation; numpy's complex ``*`` may round differently;
+        * ``x_i ** a`` follows CPython's own sequence for the exponent
+          (see ``_RowPowers``), cached per (i, a) across terms and
+          components;
+        * each component starts from 0j and adds its terms in grlex order;
+        * results are assembled through ``.real``/``.imag`` assignment,
+          never as ``re + 1j*im``, which would alter signed zeros.
+
+        Additions and subtractions round identically in numpy and CPython,
+        so each row's value matches bit for bit, signed zeros included.
+
+        Raises:
+            OverflowError: where ``evaluate`` would, i.e. when a coordinate
+                power of some row has an infinite part.
+        """
+        values, overflowed = self._evaluate_rows(points)
+        if overflowed.any():
+            raise OverflowError(
+                f"complex exponentiation overflowed at row {int(np.argmax(overflowed))}"
+            )
+        return values
+
+    def _evaluate_rows(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """``evaluate_many`` without raising: (values, rows that overflowed)."""
+        pts = _as_rows(points, self.dim)
+        powers = _RowPowers(pts)
+        out = np.empty(pts.shape, dtype=complex)
+        with np.errstate(all="ignore"):
+            for j, comp in enumerate(self._components):
+                out.real[:, j], out.imag[:, j] = comp._evaluate_rows(powers)
+        return out, powers.overflowed
+
     def homogeneous_part(self, k: int) -> "VectorPoly":
         return VectorPoly([c.homogeneous_part(k) for c in self._components])
 
@@ -563,6 +619,106 @@ class VectorPoly:
 
     def __repr__(self) -> str:
         return f"VectorPoly{self.to_string()}"
+
+
+# -- batched pointwise evaluation -----------------------------------------
+
+# CPython raises a complex to an integer power up to this size by binary
+# powering (c_powu) and above it by a polar-form power.
+_C_POWU_MAX_EXPONENT = 100
+
+
+def _cmul(ar, ai, br, bi) -> tuple:
+    """CPython's complex product on float64 parts, one ufunc per operation."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _as_rows(points, dim: int) -> np.ndarray:
+    """``points`` as a complex array of shape (N, dim)."""
+    pts = np.asarray(points, dtype=complex)
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise ValueError(f"points have shape {pts.shape}, expected (N, {dim})")
+    return pts
+
+
+class _RowPowers:
+    """Coordinate powers ``x_i ** a`` of many points, with CPython's bits.
+
+    For exponents up to 100 CPython's ``complex ** int`` starts from
+    r = 1 and walks the bits of ``a`` from the lowest: r = r * p where the
+    bit is set, then p = p * p.  The squares p = x_i^(2^k) are shared by
+    all exponents of one coordinate, and each power is cached for every
+    term, component and monomial that uses it.  Larger exponents take
+    CPython's own power point by point.  ``overflowed`` marks the rows in
+    which a power has an infinite part: there CPython raises OverflowError.
+    """
+
+    def __init__(self, points: np.ndarray):
+        self._coords = [
+            (np.ascontiguousarray(points.real[:, i]), np.ascontiguousarray(points.imag[:, i]))
+            for i in range(points.shape[1])
+        ]
+        self._squares: dict[tuple[int, int], tuple] = {}
+        self._powers: dict[tuple[int, int], tuple] = {}
+        self.overflowed = np.zeros(len(points), dtype=bool)
+
+    def _square(self, i: int, k: int) -> tuple:
+        if k == 0:
+            return self._coords[i]
+        if (i, k) not in self._squares:
+            prev = self._square(i, k - 1)
+            self._squares[(i, k)] = _cmul(*prev, *prev)
+        return self._squares[(i, k)]
+
+    def power(self, i: int, a: int) -> tuple:
+        if (i, a) not in self._powers:
+            if a > _C_POWU_MAX_EXPONENT:
+                value = _python_powers(*self._coords[i], a)
+            else:
+                value = (1.0, 0.0)
+                for k in range(a.bit_length()):
+                    if a >> k & 1:
+                        value = _cmul(*value, *self._square(i, k))
+            self.overflowed |= np.isinf(value[0]) | np.isinf(value[1])
+            self._powers[(i, a)] = value
+        return self._powers[(i, a)]
+
+    def monomial(self, alpha: MultiIndex) -> tuple:
+        """``monomial_value`` at every row: 1 times each power in coordinate order."""
+        val = (1.0, 0.0)
+        for i, a in enumerate(alpha):
+            if a:
+                val = _cmul(*val, *self.power(i, a))
+        return val
+
+
+def _python_powers(re: np.ndarray, im: np.ndarray, a: int) -> tuple:
+    """``complex ** a`` point by point; an overflow becomes an infinite value."""
+    out_re, out_im = np.empty_like(re), np.empty_like(im)
+    for k, (u, v) in enumerate(zip(re.tolist(), im.tolist())):
+        try:
+            w = complex(u, v) ** a
+        except OverflowError:
+            w = complex(math.inf, math.inf)
+        out_re[k], out_im[k] = w.real, w.imag
+    return out_re, out_im
+
+
+def _monomial_rows(points: np.ndarray, alphas: Sequence[MultiIndex]) -> tuple:
+    """``monomial_value(z, alpha)`` for every row z of ``points`` and every alpha.
+
+    ``points`` is a complex array of shape (N, n).  Returns ``(values,
+    overflowed)``: ``values[k, j]`` has the bits of
+    ``monomial_value(points[k], alphas[j])``, and ``overflowed`` marks the
+    rows where that raises OverflowError.  Powers are shared across the
+    exponent tuples.
+    """
+    powers = _RowPowers(points)
+    out = np.empty((len(points), len(alphas)), dtype=complex)
+    with np.errstate(all="ignore"):
+        for j, alpha in enumerate(alphas):
+            out.real[:, j], out.imag[:, j] = powers.monomial(alpha)
+    return out, powers.overflowed
 
 
 # -- symmetric multilinear forms ------------------------------------------

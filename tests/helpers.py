@@ -150,3 +150,8 @@ def jacobian_row_sum(q: VectorPoly, x) -> float:
                     row[i] += c * a * np.prod(x ** lowered)
         worst = max(worst, float(np.sum(np.abs(row))))
     return worst
+
+
+def complex_bits(values) -> np.ndarray:
+    """Raw float64 bits of complex values, so signed zeros and NaNs count."""
+    return np.asarray(values, dtype=complex).view(float).view(np.uint64)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -373,6 +374,39 @@ def test_residual_study_command(tmp_path, capsys):
     per_radius = [r for r in rows[1:] if r[0] == "radius"]
     assert len(per_radius) == 6
     assert all(r[3] == "8" for r in per_radius)
+
+
+def test_residual_study_skips_samples_whose_forward_map_overflows(tmp_path, capsys):
+    # At radius 1e100 and beyond, z^3 in the stage-3 factor overflows.
+    rc = main(["residual-study", _worked_1d(tmp_path), "-m", "3", "--alpha", "1",
+               "--radii", "1e120:1e100:5", "--samples", "4", "--format", "json"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "Traceback" not in captured.err
+    payload = json.loads(captured.out)
+    assert payload["skipped"] == 20 and payload["records"] == []
+
+
+def _two_d_file(tmp_path):
+    return _write(tmp_path, "two_d.json", emit_description(*two_d_map()))
+
+
+@pytest.mark.parametrize("argv", [
+    ["density-demo", "--box=-5:5"],
+    ["invert", "--radii", "1e300:1e150:4", "--samples", "6"],
+])
+def test_diverging_commands_emit_no_numpy_warnings(tmp_path, capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([argv[0], _two_d_file(tmp_path), *argv[1:]])
+    err = capsys.readouterr().err
+    if argv[0] == "density-demo":
+        assert rc == 1 and "failed at 1680 of 1681 grid points" in err
+    else:
+        assert rc == 0
+    # The package's own warning about the radius may appear; numpy's may not.
+    assert [str(w.message) for w in caught
+            if "outside the inversion radius" not in str(w.message)] == []
 
 
 def test_residual_study_alpha_mismatch(tmp_path, capsys):

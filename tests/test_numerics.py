@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopnf import (
     ConvergenceError,
@@ -14,6 +16,7 @@ from koopnf import (
     domain_check,
     eval_approx_eigenfunction,
     fit_loglog_slope,
+    invert_phi_many,
     invert_phi_pointwise,
     inverse_asymptotics_study,
     monomial_value,
@@ -21,11 +24,13 @@ from koopnf import (
     residual_study,
     run,
     tau,
+    tau_forward_many,
     tau_forward_pointwise,
+    tau_inverse_many,
     tau_inverse_pointwise,
 )
 
-from helpers import gentle_1d_map, one_d_map, random_homogeneous, two_d_map
+from helpers import complex_bits, gentle_1d_map, one_d_map, random_homogeneous, two_d_map
 
 
 def _quadratic_1d():
@@ -320,3 +325,108 @@ def test_orbit_domain_is_forward_invariant_for_contraction():
     seq = run(t_map, spec, 3)
     ok, failed_at = orbit_domain_check(t_map, seq, 3, np.array([0.01]), steps=25)
     assert ok and failed_at is None
+
+
+def _assert_rows_match_scalar(values, failures, scalar, points):
+    """Converged rows carry the scalar function's bits, failed rows its error."""
+    for k, y in enumerate(points):
+        try:
+            want = scalar(y)
+        except ConvergenceError as exc:
+            got = failures[k].error()
+            assert (got.reason, got.iterations, got.last_ratio, str(got)) \
+                == (exc.reason, exc.iterations, exc.last_ratio, str(exc))
+            assert np.isnan(values[k]).all()
+        else:
+            assert k not in failures
+            assert np.array_equal(complex_bits(values[k]), complex_bits(want))
+
+
+@st.composite
+def _factor_and_points(draw):
+    """A homogeneous Q (dim 1-2, degree 2-3), rows from 1e-3 to 1e200 and a max_iter."""
+    dim = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q = random_homogeneous(dim, draw(st.integers(2, 3)), rng)
+    rows = draw(st.integers(1, 12))
+    dirs = rng.uniform(-1, 1, (rows, dim)) + 1j * rng.uniform(-1, 1, (rows, dim))
+    small = rng.random(rows) < 0.5
+    exponents = np.where(small, rng.uniform(-3, 0, rows), rng.uniform(0, 200, rows))
+    points = 10.0 ** exponents[:, None] * dirs
+    if draw(st.booleans()):
+        points[0] = [-0.0j] * dim
+    return q, points, draw(st.sampled_from([1, 5, 200]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_factor_and_points())
+def test_invert_phi_many_matches_pointwise(case):
+    q, points, max_iter = case
+    xs, failures = invert_phi_many(q, points, max_iter=max_iter)
+    assert list(failures) == sorted(failures)
+    assert all(f.stage is None for f in failures.values())
+    _assert_rows_match_scalar(
+        xs, failures, lambda y: invert_phi_pointwise(q, y, max_iter=max_iter), points)
+
+
+def test_tau_many_match_pointwise():
+    t_map, spec = two_d_map()
+    seq = run(t_map, spec, 5)
+    rng = np.random.default_rng(44)
+    dirs = rng.uniform(-1, 1, (60, 2)) + 1j * rng.uniform(-1, 1, (60, 2))
+    points = seq.min_epsilon(4) * 10.0 ** rng.uniform(-3, 2, (60, 1)) * dirs
+    for max_iter in (10, 200):
+        zs, failures = tau_inverse_many(seq, 4, points, max_iter=max_iter)
+        assert {f.stage for f in failures.values()} <= {2, 3, 4} and failures
+        _assert_rows_match_scalar(
+            zs, failures, lambda x: tau_inverse_pointwise(seq, 4, x, max_iter=max_iter), points)
+    ok = [k for k in range(len(points)) if k not in failures]
+    back, overflowed = tau_forward_many(seq, 4, zs[ok])
+    assert not overflowed.any()
+    want = [tau_forward_pointwise(seq, 4, z) for z in zs[ok]]
+    assert np.array_equal(complex_bits(back), complex_bits(want))
+
+
+def test_tau_forward_many_marks_overflow():
+    t_map, spec = one_d_map()
+    seq = run(t_map, spec, 4)
+    zs = np.array([[1e-3], [1e120], [0.2j], [-1e103 + 1e103j]])
+    xs, overflowed = tau_forward_many(seq, 3, zs)
+    assert overflowed.tolist() == [False, True, False, True]
+    assert np.isnan(xs[overflowed]).all()
+    for z in zs[overflowed]:
+        with pytest.raises(OverflowError):
+            tau_forward_pointwise(seq, 3, z)
+    want = [tau_forward_pointwise(seq, 3, z) for z in zs[~overflowed]]
+    assert np.array_equal(complex_bits(xs[~overflowed]), complex_bits(want))
+
+
+def test_batched_validation():
+    t_map, spec = one_d_map()
+    seq = run(t_map, spec, 4)
+    with pytest.raises(ValueError, match="shape"):
+        invert_phi_many(seq.stage(2).Q, np.zeros(3))
+    with pytest.raises(ValueError, match="tol"):
+        invert_phi_many(seq.stage(2).Q, np.zeros((3, 1)), tol=0.0)
+    with pytest.raises(ValueError, match="m must lie"):
+        tau_inverse_many(seq, 5, np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="shape"):
+        tau_forward_many(seq, 3, np.zeros((3, 2)))
+
+
+def test_batched_inversion_emits_no_numpy_warnings():
+    t_map, spec = two_d_map()
+    seq = run(t_map, spec, 4)
+    axis = np.linspace(-5.0, 5.0, 41)
+    grid = np.array([(a, b) for a in axis for b in axis], dtype=complex)
+    rng = np.random.default_rng(45)
+    dirs = rng.uniform(-1, 1, (32, 2)) + 1j * rng.uniform(-1, 1, (32, 2))
+    far = 10.0 ** rng.uniform(150, 300, (32, 1)) * dirs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, grid_failures = tau_inverse_many(seq, 3, grid)
+        _, far_failures = tau_inverse_many(seq, 4, far)
+        forward, _ = tau_forward_many(seq, 4, far)
+    assert len(grid_failures) == len(grid) - 1
+    assert len(far_failures) == len(far)
+    assert not np.isfinite(forward).any()

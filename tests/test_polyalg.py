@@ -18,7 +18,7 @@ from koopnf import (
     sup_norm_estimate,
 )
 
-from helpers import coeff_rel_err, random_homogeneous, random_point, random_scalar
+from helpers import coeff_rel_err, complex_bits, random_homogeneous, random_point, random_scalar
 
 
 def test_canonical_storage_merges_and_drops():
@@ -395,3 +395,75 @@ def test_multi_indices_counts_and_order():
         assert all(sum(a) == order for a in idx)
         assert len(set(idx)) == len(idx)
     assert list(multi_indices(2, 0)) == [(0, 0)]
+
+
+@st.composite
+def _maps_and_points(draw):
+    """A sparse map of dim 1-3 with terms of degree 0-5, and 1-6 points."""
+    dim = draw(st.integers(1, 3))
+    alphas = [a for d in range(6) for a in multi_indices(dim, d)]
+    part = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-2.0, 2.0)
+    value = st.builds(complex, part, part)
+    term = st.tuples(st.integers(0, dim - 1), st.sampled_from(alphas), value)
+    poly = VectorPoly.from_terms(dim, draw(st.lists(term, max_size=4 * dim)))
+    points = draw(st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=1, max_size=6))
+    return poly, points
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_maps_and_points())
+def test_evaluate_many_matches_evaluate_bit_for_bit(map_and_points):
+    poly, points = map_and_points
+    want = [poly.evaluate(x) for x in points]
+    assert np.array_equal(complex_bits(poly.evaluate_many(points)), complex_bits(want))
+
+
+def test_evaluate_many_keeps_cpython_products():
+    # numpy's complex `*` rounds this product differently on FMA hardware, so
+    # evaluating as c * x**a on complex arrays would move a bit here.
+    c, x = -0.38 - 0.15j, 0.66 - 0.18j
+    for alpha in ((1,), (2,), (3,)):
+        poly = VectorPoly.from_terms(1, [(0, alpha, c)])
+        assert np.array_equal(complex_bits(poly.evaluate_many([[x]])[0]), complex_bits(poly.evaluate([x])))
+    got = VectorPoly.from_terms(1, [(0, (1,), c)]).evaluate_many([[x]])[0]
+    assert np.array_equal(complex_bits(got), complex_bits([c * x]))
+
+
+def test_evaluate_many_powers_above_one_hundred():
+    # CPython takes a polar-form power above exponent 100, not binary powering.
+    poly = VectorPoly.from_terms(2, [(0, (101, 0), 1.0), (1, (0, 150), 0.5j), (1, (3, 0), 2.0)])
+    points = [[1.0001 + 0.0001j, 0.999 - 0.002j], [0.5j, -1.0 + 0.0j]]
+    want = [poly.evaluate(x) for x in points]
+    assert np.array_equal(complex_bits(poly.evaluate_many(points)), complex_bits(want))
+
+
+def test_evaluate_many_overflow_rows():
+    poly = VectorPoly.from_terms(2, [(0, (3, 0), 1.0), (1, (1, 2), 0.5), (1, (0, 1), 1.0)])
+    points = [[0.5, 0.25j], [1e120, 1.0], [1.0, 1e200j], [-2.0, 3.0]]
+    values, overflowed = poly._evaluate_rows(points)
+    raised = []
+    for k, x in enumerate(points):
+        try:
+            assert complex_bits(values[k]).tolist() == complex_bits(poly.evaluate(x)).tolist()
+            raised.append(False)
+        except OverflowError:
+            raised.append(True)
+    assert overflowed.tolist() == raised == [False, True, True, False]
+    with pytest.raises(OverflowError, match="row 1"):
+        poly.evaluate_many(points)
+    with pytest.raises(ValueError, match="shape"):
+        poly.evaluate_many([0.5, 0.25])
+
+
+def test_from_terms_validates_each_exponent_once(monkeypatch):
+    import koopnf.polyalg as polyalg
+
+    calls = []
+    real = polyalg._validate_alpha
+    monkeypatch.setattr(polyalg, "_validate_alpha", lambda *a, **k: calls.append(a) or real(*a, **k))
+    entries = [(0, (2, 0), 1.0), (1, (1, 1), 0.5j), (0, (2, 0), 2.0), (1, (0, 3), -1.0)]
+    poly = VectorPoly.from_terms(2, entries)
+    assert len(calls) == len(entries)
+    assert poly.components[0].terms == {(2, 0): 3.0}
+    assert poly == VectorPoly([ScalarPoly(2, {(2, 0): 3.0}),
+                               ScalarPoly(2, {(1, 1): 0.5j, (0, 3): -1.0})])
