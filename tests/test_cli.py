@@ -378,8 +378,10 @@ def test_residual_study_command(tmp_path, capsys):
 
 def test_residual_study_skips_samples_whose_forward_map_overflows(tmp_path, capsys):
     # At radius 1e100 and beyond, z^3 in the stage-3 factor overflows.
-    rc = main(["residual-study", _worked_1d(tmp_path), "-m", "3", "--alpha", "1",
-               "--radii", "1e120:1e100:5", "--samples", "4", "--format", "json"])
+    with pytest.warns(RuntimeWarning, match="not inside"), \
+            pytest.warns(RuntimeWarning, match="no successful samples"):
+        rc = main(["residual-study", _worked_1d(tmp_path), "-m", "3", "--alpha", "1",
+                   "--radii", "1e120:1e100:5", "--samples", "4", "--format", "json"])
     captured = capsys.readouterr()
     assert rc == 0
     assert "Traceback" not in captured.err
