@@ -4,8 +4,9 @@ Each case runs a pointwise computation on fixed seeded input and hashes the
 ``repr`` of its result: the records, slope and skipped count of
 ``residual_study``, the per-radius maxima of ``inverse_asymptotics_study``,
 the rows of ``density_demo``, round trips through ``tau_inverse_pointwise``
-and ``tau_forward_pointwise``, and the ``(reason, iterations, last_ratio)``
-of inversions that diverge.  The hashes in ``golden/pointwise_sha256.json``
+and ``tau_forward_pointwise``, the ``(reason, iterations, last_ratio)``
+of inversions that diverge, the ``trace`` iterates of single-factor
+inversions and the per-stage ``domain_check`` reports.  The hashes in ``golden/pointwise_sha256.json``
 pin the exact bits, so a change to the evaluation or inversion code that
 moves any rounding fails here.  A change that alters these bits on purpose
 must say so and store new hashes.
@@ -23,6 +24,7 @@ import pytest
 from koopnf import (
     ConvergenceError,
     density_demo,
+    domain_check,
     inverse_asymptotics_study,
     invert_phi_pointwise,
     residual_study,
@@ -137,6 +139,39 @@ def _diverging(max_iter):
     return out
 
 
+def _traces():
+    _, seq = _two_d_seq()
+    rng = np.random.default_rng(41)
+    eps = seq.stage(2).epsilon
+    dirs = rng.uniform(-1, 1, (64, 2)) + 1j * rng.uniform(-1, 1, (64, 2))
+    # From well inside the stage-2 radius to where the iteration diverges.
+    points = eps * 10.0 ** rng.uniform(-3, 2.5, (64, 1)) * dirs
+    out = []
+    for y in points:
+        trace = []
+        try:
+            invert_phi_pointwise(seq.stage(2).Q, y, trace=trace)
+            outcome = None
+        except ConvergenceError as exc:
+            outcome = _failure(exc)
+        out.append([outcome, [[complex(v) for v in x] for x in trace]])
+    return repr(out)
+
+
+def _domain_reports():
+    out = []
+    for seq, m in ((_two_d_seq()[1], 4), (run(*one_d_map(), 4), 4)):
+        dim = seq.spec.dim
+        rng = np.random.default_rng(51)
+        dirs = rng.uniform(-1, 1, (24, dim)) + 1j * rng.uniform(-1, 1, (24, dim))
+        dirs /= np.max(np.abs(dirs), axis=1, keepdims=True)
+        # Inside the stage-m radius; some images leave a lower stage's radius.
+        for z in seq.stage(m).epsilon * rng.uniform(0, 1, (24, 1)) * dirs:
+            report = domain_check(seq, m, z)
+            out.append([report.ok, [tuple(c) for c in report.checks]])
+    return repr(out)
+
+
 CASES = {
     "residual-two-d-m4": _residual_two_d,
     "residual-one-d-skips": _residual_one_d_with_skips,
@@ -150,6 +185,8 @@ CASES = {
     "round-trips-two-d-m4": _round_trips,
     "diverging-two-d": lambda: repr(_diverging(200)),
     "diverging-two-d-max-iter-8": lambda: repr(_diverging(8)),
+    "traces-two-d-q2": _traces,
+    "domain-check-reports": _domain_reports,
 }
 
 
