@@ -11,6 +11,7 @@ measured as log-log slopes over shrinking sample spheres.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -49,42 +50,66 @@ def invert_phi_pointwise(
     If ``trace`` is a list, every iterate (including the start) is appended
     to it, which lets callers inspect contraction ratios.
 
+    The iteration runs on Python complex numbers (see ``_invert_phi_list``),
+    with the bits a numpy evaluation of the same steps gives.
+
     Raises:
         ConvergenceError: if ``max_iter`` iterations do not reach ``tol``;
             the error carries the last contraction ratio observed.
     """
-    y = np.asarray(y, dtype=complex)
-    if y.shape != (q.dim,):
-        raise ValueError(f"point has shape {y.shape}, expected ({q.dim},)")
-    if tol <= 0:
+    y = _point_list(y, q.dim, tol)
+    return np.array(_invert_phi_list(q, y, tol, max_iter, trace))
+
+
+def _point_list(x: Sequence[complex], dim: int, tol: float | None = None) -> list[complex]:
+    """A single point as a list of Python complex, after the shape and tol checks."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (dim,):
+        raise ValueError(f"point has shape {x.shape}, expected ({dim},)")
+    if tol is not None and tol <= 0:
         raise ValueError("tol must be positive")
-    x = np.zeros(q.dim, dtype=complex)
+    return x.tolist()
+
+
+def _invert_phi_list(
+    q: VectorPoly, y: list[complex], tol: float, max_iter: int, trace: list | None = None
+) -> list[complex]:
+    """``invert_phi_pointwise`` on a validated point given as a list.
+
+    Complex addition and subtraction round per part in CPython as in
+    numpy, the evaluation is ``ScalarPoly.evaluate``'s and the norm is
+    ``linf``, so every iterate, ratio and error carries the bits of the
+    same iteration on numpy arrays.
+    """
+    x = [0j] * len(y)
     if trace is not None:
-        trace.append(x.copy())
+        trace.append(np.array(x))
     prev_diff = None
     ratio = None
     for iteration in range(1, max_iter + 1):
         try:
-            x_new = y - q.evaluate(x)
+            qx = q._evaluate_list(x)
         except OverflowError:
             raise ConvergenceError(
                 "fixed-point inversion diverged (iterate overflow)",
                 iterations=iteration,
                 last_ratio=ratio,
             ) from None
-        if not np.all(np.isfinite(x_new)):
+        x_new = [yj - qj for yj, qj in zip(y, qx)]
+        if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in x_new):
             raise ConvergenceError(
                 "fixed-point inversion diverged (non-finite iterate)",
                 iterations=iteration,
                 last_ratio=ratio,
             )
         if trace is not None:
-            trace.append(x_new.copy())
-        diff = linf(x_new - x)
+            trace.append(np.array(x_new))
+        diff = linf([a - b for a, b in zip(x_new, x)])
         if prev_diff is not None and prev_diff > 0:
             ratio = diff / prev_diff
         if diff <= tol:
-            residual = linf(x_new + q.evaluate(x_new) - y)
+            qx = q._evaluate_list(x_new)
+            residual = linf([a + b - c for a, b, c in zip(x_new, qx, y)])
             if residual <= tol:
                 return x_new
         prev_diff = diff
@@ -96,17 +121,24 @@ def invert_phi_pointwise(
     )
 
 
+def _forward_list(seq: NormalFormSequence, m: int, w: list[complex]) -> list[complex]:
+    """Phi_2 o ... o Phi_m at a validated point given as a list."""
+    for k in range(m, 1, -1):
+        w = seq.phi(k)._evaluate_list(w)
+    return w
+
+
 def tau_forward_pointwise(seq: NormalFormSequence, m: int, z: Sequence[complex]) -> np.ndarray:
     """Evaluate the conjugacy at a point by applying the exact stage factors.
 
     Applies Phi_m first and Phi_2 last, matching the series composition
     Phi_2 o ... o Phi_m.  No truncation is involved.
+
+    Raises:
+        OverflowError: where a stage factor's evaluation overflows.
     """
     seq.check_order(m)
-    w = np.asarray(z, dtype=complex)
-    for k in range(m, 1, -1):
-        w = seq.phi(k).evaluate(w)
-    return w
+    return np.array(_forward_list(seq, m, _point_list(z, seq.spec.dim)))
 
 
 def tau_inverse_pointwise(
@@ -123,17 +155,17 @@ def tau_inverse_pointwise(
     whose inversion failed.
     """
     seq.check_order(m)
-    w = np.asarray(x, dtype=complex)
+    w = _point_list(x, seq.spec.dim, tol)
     for k in range(2, m + 1):
         try:
-            w = invert_phi_pointwise(seq.stage(k).Q, w, tol, max_iter)
+            w = _invert_phi_list(seq.stage(k).Q, w, tol, max_iter)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"stage-{k} factor inversion failed: {exc.reason}",
                 iterations=exc.iterations,
                 last_ratio=exc.last_ratio,
             ) from None
-    return w
+    return np.array(w)
 
 
 class PointFailure(NamedTuple):
@@ -510,17 +542,22 @@ def domain_check(seq: NormalFormSequence, m: int, z: Sequence[complex]) -> Domai
     The point itself must lie inside the stage-m radius, its image under
     Phi_m inside the stage-(m-1) radius, and so on down to stage 2.  Every
     stage is recorded even after a failure so the report shows the full
-    chain.
+    chain; an image whose evaluation overflows has norm inf, and so do
+    the images after it.
     """
     seq.check_order(m)
-    w = np.asarray(z, dtype=complex)
+    w = _point_list(z, seq.spec.dim)
     checks: list[DomainStageCheck] = []
     norm = linf(w)
     eps = seq.stage(m).epsilon
     checks.append(DomainStageCheck(m, norm, eps, norm < eps))
     for k in range(m, 2, -1):
-        w = seq.phi(k).evaluate(w)
-        norm = linf(w)
+        if w is not None:
+            try:
+                w = seq.phi(k)._evaluate_list(w)
+            except OverflowError:
+                w = None
+        norm = math.inf if w is None else linf(w)
         eps = seq.stage(k - 1).epsilon
         checks.append(DomainStageCheck(k - 1, norm, eps, norm < eps))
     return DomainReport(all(c.ok for c in checks), checks)

@@ -262,13 +262,39 @@ class ScalarPoly:
         """
         if len(x) != self._dim:
             raise ValueError(f"point has length {len(x)}, expected {self._dim}")
-        xs = [complex(v) for v in x]
+        return self._evaluate_complex([complex(v) for v in x])
+
+    def _term_plan(self) -> tuple:
+        """Per term ``(c, ((i, a), ...))`` with only the nonzero exponents, in grlex order.
+
+        Built on the first evaluation and kept on the instance, so the
+        series layer, which never evaluates, does not pay for it.
+        """
+        try:
+            return self._plan
+        except AttributeError:
+            self._plan = tuple(
+                (c, tuple((i, a) for i, a in enumerate(alpha) if a))
+                for alpha, c in self._terms.items()
+            )
+            return self._plan
+
+    def _evaluate_complex(self, xs: list[complex]) -> complex:
+        """``evaluate`` at a point given as a list of Python complex numbers.
+
+        Each term is ``c`` times ``xs[i] ** a`` for its nonzero exponents in
+        coordinate order, and the terms are summed from 0j in grlex order.
+        ``xs[i] ** 1`` is kept rather than read as ``xs[i]``: the power can
+        differ from its base in the sign of a zero part.
+
+        Raises:
+            OverflowError: where CPython's complex power overflows.
+        """
         total = 0j
-        for alpha, c in self._terms.items():
+        for c, factors in self._term_plan():
             val = c
-            for xi, a in zip(xs, alpha):
-                if a:
-                    val *= xi ** a
+            for i, a in factors:
+                val *= xs[i] ** a
             total += val
         return total
 
@@ -539,6 +565,14 @@ class VectorPoly:
     def evaluate(self, x: Sequence[complex]) -> np.ndarray:
         return np.array([c.evaluate(x) for c in self._components])
 
+    def _evaluate_list(self, xs: list[complex]) -> list[complex]:
+        """``evaluate`` on a list of Python complex numbers, returning one.
+
+        No length check and no conversion: the single-point inversions
+        validate their point once and then iterate on lists.
+        """
+        return [c._evaluate_complex(xs) for c in self._components]
+
     def evaluate_many(self, points) -> np.ndarray:
         """``evaluate`` at every row of ``points`` (shape (N, n)) at once.
 
@@ -755,8 +789,22 @@ def polarize(p: ScalarPoly, vectors: Sequence[Sequence[complex]]) -> complex:
 
 
 def linf(x: Sequence[complex]) -> float:
-    """Max of coordinate moduli: the vector norm used throughout the package."""
-    return float(np.max(np.abs(np.asarray(x, dtype=complex))))
+    """Max of coordinate moduli: the vector norm used throughout the package.
+
+    The moduli are numpy's (CPython's ``abs`` of a complex rounds
+    differently for some values); the max is taken in Python, which only
+    selects an entry, and is NaN as soon as one modulus is NaN.
+
+    Raises:
+        ValueError: for an empty input.
+    """
+    moduli = np.absolute(np.asarray(x, dtype=complex)).ravel().tolist()
+    if not moduli:
+        raise ValueError("linf of an empty vector")
+    # Moduli are >= 0, so their sum is NaN exactly when one of them is.
+    if math.isnan(sum(moduli)):
+        return next(v for v in moduli if math.isnan(v))
+    return max(moduli)
 
 
 def monomial_value(z: Sequence[complex], alpha: Sequence[int]) -> complex:

@@ -30,7 +30,14 @@ from koopnf import (
     tau_inverse_pointwise,
 )
 
-from helpers import complex_bits, gentle_1d_map, one_d_map, random_homogeneous, two_d_map
+from helpers import (
+    complex_bits,
+    draw_nonresonant_spectrum,
+    gentle_1d_map,
+    one_d_map,
+    random_homogeneous,
+    two_d_map,
+)
 
 
 def _quadratic_1d():
@@ -430,3 +437,182 @@ def test_batched_inversion_emits_no_numpy_warnings():
     assert len(grid_failures) == len(grid) - 1
     assert len(far_failures) == len(far)
     assert not np.isfinite(forward).any()
+
+
+def test_domain_check_records_overflowing_stages():
+    # On 0.5x + x^2 at D 4 the image of 1e30 under Phi_4 is about 1e121, and
+    # Phi_3 of that overflows; 1e120 already overflows under Phi_4.
+    t_map, spec = one_d_map()
+    seq = run(t_map, spec, 4)
+    for z, first_inf in ((1e30, 2), (1e120, 1)):
+        report = domain_check(seq, 4, np.array([z]))
+        assert not report
+        assert [c.stage for c in report.checks] == [4, 3, 2]
+        assert [c.ok for c in report.checks] == [False] * 3
+        norms = [c.norm for c in report.checks]
+        assert norms[0] == z
+        assert all(math.isfinite(v) for v in norms[:first_inf])
+        assert norms[first_inf:] == [math.inf] * (3 - first_inf)
+        assert orbit_domain_check(t_map, seq, 4, np.array([z])) == (False, 0)
+
+
+def test_invert_flags_a_non_finite_imaginary_part():
+    # Q is the constant (0, inf): the first iterate has a finite real part
+    # and an infinite imaginary part.
+    q = VectorPoly((ScalarPoly.constant(1, complex(0.0, math.inf)),))
+    with pytest.raises(ConvergenceError, match="non-finite iterate") as info:
+        invert_phi_pointwise(q, [1.0])
+    assert info.value.iterations == 1
+
+
+def _reference_evaluate(q, x):
+    """``VectorPoly.evaluate`` as it was written before the term plans."""
+    xs = [complex(v) for v in x]
+    out = []
+    for comp in q.components:
+        total = 0j
+        for alpha, c in comp.terms.items():
+            val = c
+            for xi, a in zip(xs, alpha):
+                if a:
+                    val *= xi ** a
+            total += val
+        out.append(total)
+    return np.array(out)
+
+
+def _reference_linf(x):
+    return float(np.max(np.abs(np.asarray(x, dtype=complex))))
+
+
+def _reference_invert_phi(q, y, tol=1e-13, max_iter=200, trace=None):
+    """Reference: ``invert_phi_pointwise`` as it was written on numpy arrays."""
+    y = np.asarray(y, dtype=complex)
+    x = np.zeros(q.dim, dtype=complex)
+    if trace is not None:
+        trace.append(x.copy())
+    prev_diff = None
+    ratio = None
+    for iteration in range(1, max_iter + 1):
+        try:
+            x_new = y - _reference_evaluate(q, x)
+        except OverflowError:
+            raise ConvergenceError("fixed-point inversion diverged (iterate overflow)",
+                                   iterations=iteration, last_ratio=ratio) from None
+        if not np.all(np.isfinite(x_new)):
+            raise ConvergenceError("fixed-point inversion diverged (non-finite iterate)",
+                                   iterations=iteration, last_ratio=ratio)
+        if trace is not None:
+            trace.append(x_new.copy())
+        diff = _reference_linf(x_new - x)
+        if prev_diff is not None and prev_diff > 0:
+            ratio = diff / prev_diff
+        if diff <= tol:
+            residual = _reference_linf(x_new + _reference_evaluate(q, x_new) - y)
+            if residual <= tol:
+                return x_new
+        prev_diff = diff
+        x = x_new
+    raise ConvergenceError(f"fixed-point inversion did not reach tol={tol:g}",
+                           iterations=max_iter, last_ratio=ratio)
+
+
+def _reference_tau_inverse(seq, m, x, max_iter):
+    w = np.asarray(x, dtype=complex)
+    for k in range(2, m + 1):
+        try:
+            w = _reference_invert_phi(seq.stage(k).Q, w, max_iter=max_iter)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"stage-{k} factor inversion failed: {exc.reason}",
+                                   iterations=exc.iterations, last_ratio=exc.last_ratio) from None
+    return w
+
+
+def _reference_tau_forward(seq, m, z):
+    w = np.asarray(z, dtype=complex)
+    for k in range(m, 1, -1):
+        w = _reference_evaluate(seq.phi(k), w)
+    return w
+
+
+def _outcome(call):
+    """A result's raw bits, or what its exception carries."""
+    try:
+        return ("value", complex_bits(call()).tolist())
+    except ConvergenceError as exc:
+        return ("failed", exc.reason, exc.iterations, exc.last_ratio, str(exc))
+    except OverflowError as exc:
+        return ("overflow", str(exc))
+
+
+def _points(draw, rng, dim):
+    """Rows from 1e-3 to 1e200, some parts set to +0.0 or -0.0."""
+    rows = draw(st.integers(1, 6))
+    dirs = rng.uniform(-1, 1, (rows, dim)) + 1j * rng.uniform(-1, 1, (rows, dim))
+    small = rng.random(rows) < 0.6
+    exponents = np.where(small, rng.uniform(-3, 0, rows), rng.uniform(0, 200, rows))
+    points = 10.0 ** exponents[:, None] * dirs
+    zeros = rng.random((rows, dim, 2)) < 0.2
+    points.real[zeros[..., 0]] = rng.choice([0.0, -0.0], int(zeros[..., 0].sum()))
+    points.imag[zeros[..., 1]] = rng.choice([0.0, -0.0], int(zeros[..., 1].sum()))
+    return points
+
+
+@st.composite
+def _homogeneous_factor_and_points(draw):
+    """A homogeneous Q (dim 1-3, degree 2-4), up to six rows and a max_iter."""
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q = random_homogeneous(dim, draw(st.integers(2, 4)), rng)
+    return q, _points(draw, rng, dim), draw(st.sampled_from([1, 5, 200]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_homogeneous_factor_and_points())
+def test_invert_phi_pointwise_matches_frozen_reference(case):
+    q, points, max_iter = case
+    for y in points:
+        got_trace, want_trace = [], []
+        got = _outcome(lambda: invert_phi_pointwise(q, y, max_iter=max_iter, trace=got_trace))
+        want = _outcome(lambda: _reference_invert_phi(q, y, max_iter=max_iter, trace=want_trace))
+        assert got == want
+        assert [x.dtype for x in got_trace] == [np.dtype(complex)] * len(want_trace)
+        assert complex_bits(got_trace).tolist() == complex_bits(want_trace).tolist()
+
+
+def _three_d_map():
+    rng = np.random.default_rng(7)
+    spec = draw_nonresonant_spectrum(3, rng, 4)
+    t_map = VectorPoly.diagonal(spec.lambdas)
+    for degree in (2, 3, 4):
+        t_map = t_map + 0.3 * random_homogeneous(3, degree, rng)
+    return t_map, spec
+
+
+_TAU_SEQS = {}
+
+
+def _tau_seq(name):
+    if name not in _TAU_SEQS:
+        builder = {"one-d": one_d_map, "two-d": two_d_map, "three-d": _three_d_map}[name]
+        _TAU_SEQS[name] = run(*builder(), 4)
+    return _TAU_SEQS[name]
+
+
+@st.composite
+def _sequence_and_points(draw):
+    seq = _tau_seq(draw(st.sampled_from(["one-d", "two-d", "three-d"])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = seq.min_epsilon(4) * _points(draw, rng, seq.spec.dim)
+    return seq, draw(st.integers(2, 4)), points, draw(st.sampled_from([1, 5, 200]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_sequence_and_points())
+def test_tau_pointwise_pair_matches_frozen_reference(case):
+    seq, m, points, max_iter = case
+    for x in points:
+        got = _outcome(lambda: tau_inverse_pointwise(seq, m, x, max_iter=max_iter))
+        assert got == _outcome(lambda: _reference_tau_inverse(seq, m, x, max_iter))
+        assert _outcome(lambda: tau_forward_pointwise(seq, m, x)) \
+            == _outcome(lambda: _reference_tau_forward(seq, m, x))

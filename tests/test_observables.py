@@ -192,12 +192,14 @@ def test_density_demo_box_outside_domain_fails_clearly():
     # the steep worked map stops being invertible well inside this box
     t_map, spec = one_d_map()
     seq = run(t_map, spec, 3)
-    with pytest.raises(ValueError, match="shrink the box"):
+    with pytest.warns(RuntimeWarning, match="outside the inversion radius"), \
+            pytest.raises(ValueError, match="shrink the box"):
         density_demo(lambda pt: 1.0, 3, seq, 2, [(-0.2, 0.2)])
     # Phi_2(x) = x - 4 x^2 has a real pre-image only for y <= 1/16, so on the
     # 41-point grid over [-0.1, 0.3] the 24 points from 0.07 up fail, and all
     # of them are counted.
-    with pytest.raises(ValueError, match=r"24 of 41 grid points, first at \[0\.07") as info:
+    with pytest.warns(RuntimeWarning, match="outside the inversion radius"), \
+            pytest.raises(ValueError, match=r"24 of 41 grid points, first at \[0\.07") as info:
         density_demo(lambda pt: 1.0, 3, seq, 2, [(-0.1, 0.3)])
     assert "shrink the box" in str(info.value)
 

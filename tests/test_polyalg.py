@@ -362,6 +362,36 @@ def test_linf():
     assert linf(np.array([0.0])) == 0.0
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("x", [
+    [_NAN, 1.0, 2.0],
+    [1.0, 2.0, complex(0.5, _NAN)],
+    [_NAN, _INF],
+    [_INF, complex(_NAN, 1.0)],
+    [complex(_NAN, _INF), 1.0],  # numpy's modulus of (nan, inf) is inf
+    [-_INF, 2.0],
+    [complex(1.0, -_INF), _INF],
+    [-0.0, complex(-0.0, -0.0)],
+    [complex(-0.0, 3e-310), -0.0],
+    np.array(3 - 4j),
+    np.array([[1.0, -2j], [0.5, complex(1.5, -1.5)]]),
+    np.array([[1.0, _NAN], [_INF, 0.0]]),
+], ids=lambda x: repr(np.asarray(x).tolist()))
+def test_linf_keeps_numpy_max_bits(x):
+    want = float(np.max(np.abs(np.asarray(x, dtype=complex))))
+    got = linf(x)
+    assert type(got) is float
+    assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
+@pytest.mark.parametrize("x", [[], np.zeros(0), np.zeros((0, 2))])
+def test_linf_rejects_empty_input(x):
+    with pytest.raises(ValueError):
+        linf(x)
+
+
 def test_sphere_points_shape_and_norm():
     pts = sphere_points(3, 17, seed=4)
     assert pts.shape == (17, 3)
