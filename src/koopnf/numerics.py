@@ -121,13 +121,6 @@ def _invert_phi_list(
     )
 
 
-def _forward_list(seq: NormalFormSequence, m: int, w: list[complex]) -> list[complex]:
-    """Phi_2 o ... o Phi_m at a validated point given as a list."""
-    for k in range(m, 1, -1):
-        w = seq.phi(k)._evaluate_list(w)
-    return w
-
-
 def tau_forward_pointwise(seq: NormalFormSequence, m: int, z: Sequence[complex]) -> np.ndarray:
     """Evaluate the conjugacy at a point by applying the exact stage factors.
 
@@ -138,7 +131,10 @@ def tau_forward_pointwise(seq: NormalFormSequence, m: int, z: Sequence[complex])
         OverflowError: where a stage factor's evaluation overflows.
     """
     seq.check_order(m)
-    return np.array(_forward_list(seq, m, _point_list(z, seq.spec.dim)))
+    w = _point_list(z, seq.spec.dim)
+    for k in range(m, 1, -1):
+        w = seq.phi(k)._evaluate_list(w)
+    return np.array(w)
 
 
 def tau_inverse_pointwise(

@@ -466,7 +466,7 @@ def test_invert_flags_a_non_finite_imaginary_part():
 
 
 def _reference_evaluate(q, x):
-    """``VectorPoly.evaluate`` as it was written before the term plans."""
+    """Reference: ``VectorPoly.evaluate`` summing each component's ``terms`` directly."""
     xs = [complex(v) for v in x]
     out = []
     for comp in q.components:
@@ -486,7 +486,7 @@ def _reference_linf(x):
 
 
 def _reference_invert_phi(q, y, tol=1e-13, max_iter=200, trace=None):
-    """Reference: ``invert_phi_pointwise`` as it was written on numpy arrays."""
+    """Reference: ``invert_phi_pointwise``'s iteration on numpy arrays, with np.max norms."""
     y = np.asarray(y, dtype=complex)
     x = np.zeros(q.dim, dtype=complex)
     if trace is not None:
@@ -545,9 +545,9 @@ def _outcome(call):
         return ("overflow", str(exc))
 
 
-def _points(draw, rng, dim):
-    """Rows from 1e-3 to 1e200, some parts set to +0.0 or -0.0."""
-    rows = draw(st.integers(1, 6))
+def _points(rng, dim):
+    """One to six rows from 1e-3 to 1e200, some parts set to +0.0 or -0.0."""
+    rows = int(rng.integers(1, 7))
     dirs = rng.uniform(-1, 1, (rows, dim)) + 1j * rng.uniform(-1, 1, (rows, dim))
     small = rng.random(rows) < 0.6
     exponents = np.where(small, rng.uniform(-3, 0, rows), rng.uniform(0, 200, rows))
@@ -564,7 +564,7 @@ def _homogeneous_factor_and_points(draw):
     dim = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     q = random_homogeneous(dim, draw(st.integers(2, 4)), rng)
-    return q, _points(draw, rng, dim), draw(st.sampled_from([1, 5, 200]))
+    return q, _points(rng, dim), draw(st.sampled_from([1, 5, 200]))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -589,28 +589,18 @@ def _three_d_map():
     return t_map, spec
 
 
-_TAU_SEQS = {}
-
-
-def _tau_seq(name):
-    if name not in _TAU_SEQS:
-        builder = {"one-d": one_d_map, "two-d": two_d_map, "three-d": _three_d_map}[name]
-        _TAU_SEQS[name] = run(*builder(), 4)
-    return _TAU_SEQS[name]
-
-
-@st.composite
-def _sequence_and_points(draw):
-    seq = _tau_seq(draw(st.sampled_from(["one-d", "two-d", "three-d"])))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    points = seq.min_epsilon(4) * _points(draw, rng, seq.spec.dim)
-    return seq, draw(st.integers(2, 4)), points, draw(st.sampled_from([1, 5, 200]))
+@pytest.fixture(scope="module")
+def tau_seqs():
+    return {name: run(*builder(), 4) for name, builder in
+            (("one-d", one_d_map), ("two-d", two_d_map), ("three-d", _three_d_map))}
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(_sequence_and_points())
-def test_tau_pointwise_pair_matches_frozen_reference(case):
-    seq, m, points, max_iter = case
+@given(name=st.sampled_from(["one-d", "two-d", "three-d"]), m=st.integers(2, 4),
+       seed=st.integers(0, 2 ** 32 - 1), max_iter=st.sampled_from([1, 5, 200]))
+def test_tau_pointwise_pair_matches_frozen_reference(tau_seqs, name, m, seed, max_iter):
+    seq = tau_seqs[name]
+    points = seq.min_epsilon(4) * _points(np.random.default_rng(seed), seq.spec.dim)
     for x in points:
         got = _outcome(lambda: tau_inverse_pointwise(seq, m, x, max_iter=max_iter))
         assert got == _outcome(lambda: _reference_tau_inverse(seq, m, x, max_iter))
